@@ -15,7 +15,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <queue>
 #include <vector>
 
 using fg::Buffer;
@@ -28,51 +27,41 @@ namespace {
 constexpr std::uint32_t kRec = 16;
 
 /// The common stage: accepts small buffers from each vertical pipeline,
-/// merges by key into large horizontal buffers.
+/// merges them into large horizontal buffers with the sort library's
+/// loser-tree merger, which reads each input buffer in place and says
+/// when a run needs its next one.
 class Merge final : public fg::Stage {
  public:
   Merge(std::vector<Pipeline*> verts, Pipeline& horiz)
       : Stage("merge"), verts_(std::move(verts)), horiz_(&horiz) {}
 
   void run(fg::StageContext& ctx) override {
-    struct Cur {
-      Buffer* b{nullptr};
-      std::size_t i{0};
+    std::vector<Buffer*> in(verts_.size(), nullptr);
+    fg::sort::MultiwayMerger merger(verts_.size(), kRec);
+    auto load = [&](std::size_t v) {
+      if (in[v]) ctx.convey(in[v]);  // spent buffer back to its own sink
+      in[v] = ctx.accept(*verts_[v]);
+      merger.feed(v, in[v] ? in[v]->contents() : std::span<const std::byte>{});
     };
-    std::vector<Cur> cur(verts_.size());
-    using Item = std::pair<std::uint64_t, std::uint32_t>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-    auto load = [&](std::uint32_t v) {
-      Buffer* b = ctx.accept(*verts_[v]);
-      cur[v] = {b, 0};
-      if (b) heap.emplace(fg::sort::key_of(b->contents().data()), v);
-    };
-    for (std::uint32_t v = 0; v < verts_.size(); ++v) load(v);
+    for (std::size_t v = 0; v < verts_.size(); ++v) load(v);
 
     Buffer* out = ctx.accept(*horiz_);
-    std::size_t oi = 0;
-    while (!heap.empty()) {
-      const auto [key, v] = heap.top();
-      heap.pop();
-      auto& c = cur[v];
-      std::memcpy(out->data().data() + oi * kRec,
-                  c.b->contents().data() + c.i * kRec, kRec);
-      ++oi;
-      if (++c.i == c.b->size() / kRec) {
-        ctx.convey(c.b);  // spent buffer back to its own vertical sink
-        load(v);
-      } else {
-        heap.emplace(fg::sort::key_of(c.b->contents().data() + c.i * kRec), v);
+    std::size_t fill = 0;
+    while (!merger.done()) {
+      if (merger.dry() != fg::sort::MultiwayMerger::kNone) {
+        load(merger.dry());
+        continue;
       }
-      if (oi == out->capacity() / kRec) {
-        out->set_size(oi * kRec);
+      fill += merger.merge(out->data().subspan(fill));
+      if (fill == out->capacity()) {
+        out->set_size(fill);
         ctx.convey(out);
         out = ctx.accept(*horiz_);
-        oi = 0;
+        fill = 0;
       }
     }
-    if (oi) {
-      out->set_size(oi * kRec);
+    if (fill) {
+      out->set_size(fill);
       ctx.convey(out);
     } else {
       ctx.recycle(out);

@@ -107,6 +107,21 @@ std::size_t p3_recv_capacity(const Geo& g, std::uint32_t block_records) {
                                   static_cast<std::uint64_t>(g.p) * 8);
 }
 
+/// Steps 3 and 5.  The shuffle before each lays a column down as s sorted
+/// chunks of r/s records at chunk boundaries (see the write stages), so
+/// merging the chunks sorts the column.  The result goes to the auxiliary
+/// block, which then becomes the buffer's contents.
+void merge_column(Buffer& b, const Geo& g) {
+  std::vector<std::span<const std::byte>> chunks;
+  chunks.reserve(g.s);
+  const std::span<const std::byte> col = b.contents().first(g.col_bytes());
+  for (std::uint64_t c = 0; c < g.s; ++c) {
+    chunks.push_back(col.subspan(c * g.chunk * g.rec, g.chunk * g.rec));
+  }
+  multiway_merge(chunks, g.rec, b.aux());
+  b.swap_aux();
+}
+
 void instrument_graph(PipelineGraph& graph, const SortConfig& cfg,
                       comm::Fabric& fabric) {
   graph.set_runtime_options(cfg.runtime);
@@ -223,8 +238,9 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
       // P received chunks (one per source of this round) into a write-
       // behind slot and launch the column slices as async writes, so pass
       // 2 reads whole columns sequentially and the disk writes round t
-      // while round t+1 is communicated.  (Placement *within* the column
-      // is irrelevant: step 3 re-sorts it.)
+      // while round t+1 is communicated.  Each received chunk is sorted
+      // and lands at a multiple of r/s records within its column, which
+      // is what lets step 3 merge the column instead of sorting it.
       pdm::WriteBehind write_behind(disk, p1, g.col_bytes());
       MapStage write(
           "write",
@@ -309,7 +325,7 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
       });
 
       MapStage sort_stage("sort", [&](Buffer& b) {
-        sort_records(b.contents(), g.rec, b.aux());
+        merge_column(b, g);
         cfg.compute_model.charge(b.size());
         return StageAction::kConvey;
       });
@@ -340,7 +356,8 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
       });
 
       // Same column-major gather-and-slice as pass 1's write, into p2,
-      // through the same write-behind slot scheme.
+      // through the same write-behind slot scheme; step 5 merges the
+      // sorted chunks it places.
       pdm::WriteBehind write_behind(disk, p2, g.col_bytes());
       MapStage write(
           "write",
@@ -425,13 +442,12 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
       });
 
       MapStage sort_stage("sort", [&](Buffer& b) {
-        sort_records(b.contents(), g.rec, b.aux());
+        merge_column(b, g);
         cfg.compute_model.charge(b.size());
         return StageAction::kConvey;
       });
 
       const std::uint64_t half = g.r / 2;
-      std::vector<std::byte> merged((3 * g.r / 2) * g.rec);
       std::vector<std::byte> left_half(half * g.rec);
       std::vector<std::vector<std::byte>> staging(
           static_cast<std::size_t>(g.p));
@@ -442,6 +458,10 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
         std::span<const std::byte> col = b.contents().first(g.col_bytes());
         const auto top = col.first(half * g.rec);
         const auto bottom = col.subspan(half * g.rec, half * g.rec);
+        // The sort stage's merge left the column as read in the auxiliary
+        // block, which is free now and holds M_j (at most 3r/2 records;
+        // the block holds at least 2r).
+        const std::span<std::byte> merged = b.aux();
 
         // Step 6 (shift down by r/2): my column's bottom half becomes the
         // top of column j+1's shifted column.

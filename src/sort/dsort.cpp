@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -58,64 +57,44 @@ class MergeStage final : public Stage {
         compute_(compute) {}
 
   void run(StageContext& ctx) override {
-    struct Cursor {
-      Buffer* b{nullptr};
-      std::size_t i{0};
-      std::size_t n{0};
-    };
     const std::size_t k = verticals_.size();
-    std::vector<Cursor> cur(k);
-
-    using HeapItem = std::pair<std::uint64_t, std::uint32_t>;  // (key, run)
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>> heap;
-
-    auto load = [&](std::uint32_t v) {
-      Buffer* b = ctx.accept(*verticals_[v]);
-      if (b == nullptr) {
-        cur[v] = Cursor{};
-        return;
-      }
-      cur[v] = Cursor{b, 0, b->size() / rec_};
-      heap.emplace(key_of(b->contents().data()), v);
+    std::vector<Buffer*> in(k, nullptr);
+    MultiwayMerger merger(k, rec_);
+    // Feed the dry run: convey its spent input buffer to its own vertical
+    // sink for recycling, then accept the run's next buffer (if any).
+    auto load = [&](std::size_t v) {
+      if (in[v] != nullptr) ctx.convey(in[v]);
+      in[v] = ctx.accept(*verticals_[v]);
+      merger.feed(v, in[v] != nullptr ? in[v]->contents()
+                                      : std::span<const std::byte>{});
     };
-    for (std::uint32_t v = 0; v < k; ++v) load(v);
+    for (std::size_t v = 0; v < k; ++v) load(v);
 
     Buffer* out = ctx.accept(*horizontal_);
     std::uint64_t emitted = 0;
-    std::size_t oi = 0;
-    std::size_t ocap = out->capacity() / rec_;
+    std::size_t fill = 0;
+    std::size_t ocap = out->capacity() / rec_ * rec_;
     out->set_tag(global_start_);
 
-    while (!heap.empty()) {
-      const auto [key, v] = heap.top();
-      heap.pop();
-      Cursor& c = cur[v];
-      std::memcpy(out->data().data() + oi * rec_,
-                  c.b->contents().data() + c.i * rec_, rec_);
-      ++oi;
-      ++c.i;
-      if (c.i == c.n) {
-        // Spent input buffer: convey it to its own vertical sink for
-        // recycling, then accept the run's next buffer (if any).
-        ctx.convey(c.b);
-        load(v);
-      } else {
-        heap.emplace(key_of(c.b->contents().data() + c.i * rec_), v);
+    while (!merger.done()) {
+      if (merger.dry() != MultiwayMerger::kNone) {
+        load(merger.dry());
+        continue;
       }
-      if (oi == ocap) {
-        out->set_size(oi * rec_);
+      fill += merger.merge(out->data().subspan(fill, ocap - fill));
+      if (fill == ocap) {
+        out->set_size(fill);
         compute_.charge(out->size());
         ctx.convey(out);
-        emitted += oi;
+        emitted += fill / rec_;
         out = ctx.accept(*horizontal_);
         out->set_tag(global_start_ + emitted);
-        oi = 0;
-        ocap = out->capacity() / rec_;
+        fill = 0;
+        ocap = out->capacity() / rec_ * rec_;
       }
     }
-    if (oi > 0) {
-      out->set_size(oi * rec_);
+    if (fill > 0) {
+      out->set_size(fill);
       compute_.charge(out->size());
       ctx.convey(out);
     } else {

@@ -1,7 +1,7 @@
 #include "sort/kernels.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -106,54 +106,179 @@ std::vector<std::uint32_t> partition_records(
   return counts;
 }
 
-void merge_records(std::span<const std::byte> a, std::span<const std::byte> b,
-                   std::uint32_t rec_bytes, std::span<std::byte> out) {
-  check_args(a.size(), rec_bytes);
-  check_args(b.size(), rec_bytes);
-  if (out.size() < a.size() + b.size()) {
-    throw std::invalid_argument("fg::sort::merge_records: out too small");
+MultiwayMerger::MultiwayMerger(std::size_t runs, std::uint32_t rec_bytes)
+    : rec_(rec_bytes),
+      runs_(runs),
+      leaves_(std::bit_ceil(std::max<std::size_t>(runs, 1))),
+      tree_(leaves_),
+      cur_(leaves_, Cursor{nullptr, nullptr}),
+      dry_(runs == 0 ? kNone : 0) {
+  check_args(0, rec_bytes);
+}
+
+/// Run v's head record as a tree entry; an ended run's key is the
+/// UINT64_MAX sentinel.
+MultiwayMerger::Node MultiwayMerger::head(std::size_t v) const noexcept {
+  const std::byte* p = cur_[v].pos;
+  return Node{p != nullptr ? key_of(p) : ~std::uint64_t{0}, v};
+}
+
+/// Order of two runs whose head keys are equal: by the extension, then by
+/// run index; an ended run follows every live one, including a live one
+/// whose key is UINT64_MAX.
+bool MultiwayMerger::tie_less(std::uint64_t a, std::uint64_t b) const noexcept {
+  const std::byte* pa = cur_[a].pos;
+  const std::byte* pb = cur_[b].pos;
+  if (pa == nullptr || pb == nullptr) {
+    return pb == nullptr && (pa != nullptr || a < b);
   }
-  std::size_t ia = 0, ib = 0, io = 0;
-  const std::size_t na = a.size() / rec_bytes, nb = b.size() / rec_bytes;
-  while (ia < na && ib < nb) {
-    const std::byte* pa = a.data() + ia * rec_bytes;
-    const std::byte* pb = b.data() + ib * rec_bytes;
-    if (key_of(pb) < key_of(pa)) {
-      std::memcpy(out.data() + io++ * rec_bytes, pb, rec_bytes);
-      ++ib;
+  const std::uint64_t ta = util::mix64(uid_of(pa));
+  const std::uint64_t tb = util::mix64(uid_of(pb));
+  return ta != tb ? ta < tb : a < b;
+}
+
+/// Play `cand`, the new head of the last winner's run, up that run's path:
+/// at each node the smaller of the candidate and the stored loser moves
+/// on, and the one that reaches the root is the new winner.  The step
+/// compiles to selects; only equal keys take a branch.
+inline MultiwayMerger::Node MultiwayMerger::replay(Node cand) noexcept {
+  Node* const tree = tree_.data();
+  for (std::size_t n = (leaves_ + cand.run) >> 1; n > 0; n >>= 1) {
+    const Node e = tree[n];
+    bool swap;
+    if (e.key == cand.key) [[unlikely]] {
+      swap = tie_less(e.run, cand.run);
     } else {
-      std::memcpy(out.data() + io++ * rec_bytes, pa, rec_bytes);
-      ++ia;
+      swap = e.key < cand.key;
+    }
+    const std::uint64_t mask = 0 - static_cast<std::uint64_t>(swap);
+    const std::uint64_t dk = (e.key ^ cand.key) & mask;
+    const std::uint64_t dr = (e.run ^ cand.run) & mask;
+    tree[n] = Node{e.key ^ dk, e.run ^ dr};
+    cand.key ^= dk;
+    cand.run ^= dr;
+  }
+  return cand;
+}
+
+void MultiwayMerger::build() {
+  auto less = [this](const Node& a, const Node& b) {
+    return a.key != b.key ? a.key < b.key : tie_less(a.run, b.run);
+  };
+  std::vector<Node> win(2 * leaves_);
+  for (std::size_t v = 0; v < leaves_; ++v) win[leaves_ + v] = head(v);
+  for (std::size_t n = leaves_ - 1; n > 0; --n) {
+    const Node& a = win[2 * n];
+    const Node& b = win[2 * n + 1];
+    const bool b_wins = less(b, a);
+    win[n] = b_wins ? b : a;
+    tree_[n] = b_wins ? a : b;
+  }
+  win_ = win[1];
+  built_ = true;
+}
+
+void MultiwayMerger::feed(std::size_t v, std::span<const std::byte> block) {
+  if (v != dry_) {
+    throw std::logic_error(
+        "fg::sort::MultiwayMerger: fed a run that is not dry");
+  }
+  check_args(block.size(), rec_);
+  cur_[v] = block.empty() ? Cursor{nullptr, nullptr}
+                          : Cursor{block.data(), block.data() + block.size()};
+  if (built_) {
+    dry_ = kNone;
+    win_ = replay(head(v));
+  } else if (v + 1 < runs_) {
+    dry_ = v + 1;
+  } else {
+    dry_ = kNone;
+    build();
+  }
+}
+
+template <std::uint32_t R>
+std::size_t MultiwayMerger::merge_loop(std::byte* out,
+                                       std::byte* out_end) noexcept {
+  const std::size_t rec = R != 0 ? R : rec_;
+  Cursor* const cur = cur_.data();
+  Node win = win_;
+  std::byte* o = out;
+  while (o != out_end) {
+    Cursor& c = cur[win.run];
+    const std::byte* p = c.pos;
+    std::memcpy(o, p, rec);
+    o += rec;
+    p += rec;
+    c.pos = p;
+    if (p == c.end) {
+      dry_ = win.run;
+      break;
+    }
+    win = replay(Node{key_of(p), win.run});
+  }
+  win_ = win;
+  return static_cast<std::size_t>(o - out);
+}
+
+std::size_t MultiwayMerger::merge(std::span<std::byte> out) {
+  check_args(out.size(), rec_);
+  if (dry_ != kNone || done()) return 0;
+  std::byte* const o = out.data();
+  std::byte* const e = o + out.size();
+  // Fixed-size copies of the paper's two record sizes inline to moves.
+  switch (rec_) {
+    case 16: return merge_loop<16>(o, e);
+    case 64: return merge_loop<64>(o, e);
+    default: return merge_loop<0>(o, e);
+  }
+}
+
+void multiway_merge(std::span<const std::span<const std::byte>> runs,
+                    std::uint32_t rec_bytes, std::span<std::byte> out) {
+  std::size_t total = 0;
+  for (const auto& r : runs) {
+    check_args(r.size(), rec_bytes);
+    total += r.size();
+  }
+  if (out.size() < total) {
+    throw std::invalid_argument("fg::sort::multiway_merge: out too small");
+  }
+  MultiwayMerger m(runs.size(), rec_bytes);
+  for (const auto& r : runs) m.feed(m.dry(), r);
+  std::size_t at = 0;
+  while (!m.done()) {
+    if (m.dry() != MultiwayMerger::kNone) {
+      m.feed(m.dry(), {});  // each run is one block
+    } else {
+      at += m.merge(out.subspan(at, total - at));
     }
   }
-  if (ia < na) {
-    std::memcpy(out.data() + io * rec_bytes, a.data() + ia * rec_bytes,
-                (na - ia) * rec_bytes);
-    io += na - ia;
-  }
-  if (ib < nb) {
-    std::memcpy(out.data() + io * rec_bytes, b.data() + ib * rec_bytes,
-                (nb - ib) * rec_bytes);
-  }
+}
+
+void merge_records(std::span<const std::byte> a, std::span<const std::byte> b,
+                   std::uint32_t rec_bytes, std::span<std::byte> out) {
+  const std::span<const std::byte> runs[] = {a, b};
+  multiway_merge(runs, rec_bytes, out);
 }
 
 void gather_strided(std::span<const std::byte> in, std::uint32_t rec_bytes,
                     std::size_t start, std::size_t stride, std::size_t count,
                     std::span<std::byte> out) {
-  assert(out.size() >= count * rec_bytes);
+  check_args(in.size(), rec_bytes);
+  if (count == 0) return;
+  // The last record read is start + (count-1)*stride; check it without
+  // letting the product wrap.
+  const std::size_t in_records = in.size() / rec_bytes;
+  if (start >= in_records ||
+      (count > 1 && stride > (in_records - 1 - start) / (count - 1)) ||
+      out.size() / rec_bytes < count) {
+    throw std::invalid_argument(
+        "fg::sort::gather_strided: range exceeds the input or output");
+  }
   for (std::size_t i = 0; i < count; ++i) {
     std::memcpy(out.data() + i * rec_bytes,
                 in.data() + (start + i * stride) * rec_bytes, rec_bytes);
-  }
-}
-
-void scatter_strided(std::span<const std::byte> in, std::uint32_t rec_bytes,
-                     std::size_t start, std::size_t stride, std::size_t count,
-                     std::span<std::byte> out) {
-  assert(in.size() >= count * rec_bytes);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::memcpy(out.data() + (start + i * stride) * rec_bytes,
-                in.data() + i * rec_bytes, rec_bytes);
   }
 }
 

@@ -6,7 +6,6 @@
 #include "util/timer.hpp"
 
 #include <cstring>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -167,9 +166,12 @@ SortResult run_ssort(comm::Cluster& cluster, pdm::Workspace& ws,
       const std::size_t k = st.runs.size();
       const std::size_t chunk = cfg.merge_buffer_records;
       std::vector<std::vector<std::byte>> cur(k);
-      std::vector<std::size_t> pos(k, 0);       // index into cur[v]
       std::vector<std::uint64_t> consumed(k, 0);
+      MultiwayMerger merger(k, rec);
 
+      // Read run v's next block (empty at its end) and feed it; the merge
+      // loop below calls this for every run the merger reports dry, each
+      // run's first block included.
       auto refill = [&](std::size_t v) {
         const Run& run = st.runs[v];
         const std::uint64_t rem = run.count - consumed[v];
@@ -179,14 +181,8 @@ SortResult run_ssort(comm::Cluster& cluster, pdm::Workspace& ws,
           disk.read_exact(runs_file, (run.offset + consumed[v]) * rec, cur[v]);
           consumed[v] += n;
         }
-        pos[v] = 0;
+        merger.feed(v, cur[v]);
       };
-      using Item = std::pair<std::uint64_t, std::uint32_t>;
-      std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-      for (std::size_t v = 0; v < k; ++v) {
-        refill(v);
-        if (!cur[v].empty()) heap.emplace(key_of(cur[v].data()), v);
-      }
 
       const std::size_t out_records = cfg.out_buffer_records;
       std::vector<std::byte> out(out_records * rec);
@@ -233,18 +229,12 @@ SortResult run_ssort(comm::Cluster& cluster, pdm::Workspace& ws,
         msg.resize(8 + std::size_t{cfg.block_records} * rec);
       };
 
-      while (!heap.empty()) {
-        const auto [key, v] = heap.top();
-        heap.pop();
-        std::memcpy(out.data() + oi * rec, cur[v].data() + pos[v] * rec, rec);
-        ++oi;
-        ++pos[v];
-        if (pos[v] * rec >= cur[v].size()) {
-          refill(v);
-          if (!cur[v].empty()) heap.emplace(key_of(cur[v].data()), v);
-        } else {
-          heap.emplace(key_of(cur[v].data() + pos[v] * rec), v);
+      while (!merger.done()) {
+        if (merger.dry() != MultiwayMerger::kNone) {
+          refill(merger.dry());
+          continue;
         }
+        oi += merger.merge(std::span(out).subspan(oi * rec)) / rec;
         if (oi == out_records) {
           ship(oi);
           oi = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 namespace fg::sort {
@@ -146,22 +147,31 @@ TEST(Csort, ManyRoundsPerNode) {
   EXPECT_TRUE(sort_and_verify(cfg).ok());
 }
 
-TEST(Csort, AgreesWithDsort) {
-  // Identical input sorted by both programs must produce byte-identical
-  // striped output (both are full sorts to PDM order; ties are resolved
-  // identically because records with equal keys are still distinct).
-  SortConfig cfg = config_for(4, 15000, 16, 8, Distribution::kPoisson);
+// Identical input sorted by both programs must produce byte-identical
+// striped output: every sort and merge in both orders records by extended
+// key, a total order, so even records with equal keys land in one place.
+class CsortAgreesWithDsort
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint32_t, Distribution>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, CsortAgreesWithDsort,
+    ::testing::Combine(::testing::Values(16u, 64u),
+                       ::testing::Values(Distribution::kUniform,
+                                         Distribution::kAllEqual,
+                                         Distribution::kPoisson)));
+
+TEST_P(CsortAgreesWithDsort, ByteIdenticalOutput) {
+  const auto [rec, dist] = GetParam();
+  SortConfig cfg = config_for(4, 15000, rec, 8, dist);
   pdm::Workspace ws_a(cfg.nodes), ws_b(cfg.nodes);
   comm::SimCluster ca(cfg.nodes), cb(cfg.nodes);
   generate_input(ws_a, cfg);
   generate_input(ws_b, cfg);
   run_dsort(ca, ws_a, cfg);
   run_csort(cb, ws_b, cfg);
-  const VerifyResult va = verify_output(ws_a, cfg);
-  const VerifyResult vb = verify_output(ws_b, cfg);
-  EXPECT_TRUE(va.ok());
-  EXPECT_TRUE(vb.ok());
-  // Key sequences agree: compare per-node output files' key streams.
+  EXPECT_TRUE(verify_output(ws_a, cfg).ok());
+  EXPECT_TRUE(verify_output(ws_b, cfg).ok());
   const auto layout = layout_of(cfg);
   for (int n = 0; n < cfg.nodes; ++n) {
     pdm::File fa = ws_a.disk(n).open(cfg.output_name);
@@ -171,11 +181,12 @@ TEST(Csort, AgreesWithDsort) {
     std::vector<std::byte> a(bytes), b(bytes);
     ws_a.disk(n).read(fa, 0, a);
     ws_b.disk(n).read(fb, 0, b);
-    std::size_t mismatched_keys = 0;
+    std::size_t mismatched_records = 0;
     for (std::uint64_t i = 0; i < bytes; i += cfg.record_bytes) {
-      mismatched_keys += key_of(a.data() + i) != key_of(b.data() + i);
+      mismatched_records += !std::equal(a.begin() + i, a.begin() + i + rec,
+                                        b.begin() + i);
     }
-    EXPECT_EQ(mismatched_keys, 0u) << "node " << n;
+    EXPECT_EQ(mismatched_records, 0u) << "node " << n;
   }
 }
 

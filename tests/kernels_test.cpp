@@ -1,11 +1,13 @@
 // Tests for the in-memory record kernels: sorting, partitioning by
-// extended-key splitters, merging, and strided gather/scatter.
+// extended-key splitters, k-way merging, and strided gather.
 #include "sort/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 namespace fg::sort {
@@ -72,6 +74,142 @@ TEST_P(KernelsParam, SortPreservesRecordsIntact) {
     sum_after += record_fingerprint({data.data() + i * rec, rec});
   }
   EXPECT_EQ(sum_before, sum_after);
+}
+
+// -- k-way merge against the sort_records oracle ---------------------------
+
+enum class KeyMix { kUniform, kAllEqual, kSmallRange, kMaxHeavy };
+
+std::uint64_t draw_key(KeyMix mix, util::Xoshiro256& rng) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  switch (mix) {
+    case KeyMix::kUniform: return rng.next();
+    case KeyMix::kAllEqual: return 7;
+    case KeyMix::kSmallRange: return rng.below(4);
+    case KeyMix::kMaxHeavy:
+      return rng.below(2) == 0 ? kMax : kMax - rng.below(3);
+  }
+  return 0;
+}
+
+/// `k` sorted runs of uneven lengths, every third one empty, with uids
+/// unique across all runs (so the extended-key order is total).
+std::vector<std::vector<std::byte>> make_sorted_runs(std::size_t k,
+                                                     std::uint32_t rec,
+                                                     KeyMix mix,
+                                                     std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::vector<std::byte>> runs(k);
+  std::uint64_t uid = 0;
+  for (std::size_t v = 0; v < k; ++v) {
+    const std::size_t n = v % 3 == 2 ? 0 : 1 + rng.below(k > 100 ? 24 : 300);
+    std::vector<std::uint64_t> keys(n);
+    for (auto& key : keys) key = draw_key(mix, rng);
+    runs[v] = make_records(keys, rec, uid);
+    uid += n;
+    std::vector<std::byte> scratch(runs[v].size());
+    sort_records(runs[v], rec, scratch);
+  }
+  return runs;
+}
+
+/// sort_records of the concatenated runs: the oracle both merge entry
+/// points must match byte for byte.
+std::vector<std::byte> oracle(const std::vector<std::vector<std::byte>>& runs,
+                              std::uint32_t rec) {
+  std::vector<std::byte> all;
+  for (const auto& r : runs) all.insert(all.end(), r.begin(), r.end());
+  std::vector<std::byte> scratch(all.size());
+  sort_records(all, rec, scratch);
+  return all;
+}
+
+std::vector<std::span<const std::byte>> spans_of(
+    const std::vector<std::vector<std::byte>>& runs) {
+  return {runs.begin(), runs.end()};
+}
+
+/// The streaming form, fed blocks of random sizes and drained into output
+/// windows of random sizes.
+std::vector<std::byte> stream_merge(
+    const std::vector<std::vector<std::byte>>& runs, std::uint32_t rec,
+    std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::size_t total = 0;
+  for (const auto& r : runs) total += r.size();
+  std::vector<std::byte> out(total);
+  std::vector<std::size_t> fed(runs.size(), 0);
+  MultiwayMerger m(runs.size(), rec);
+  std::size_t at = 0;
+  while (!m.done()) {
+    const std::size_t v = m.dry();
+    if (v != MultiwayMerger::kNone) {
+      const std::size_t left = (runs[v].size() - fed[v]) / rec;
+      const std::size_t n =
+          left == 0 ? 0 : 1 + rng.below(std::min<std::size_t>(left, 40));
+      m.feed(v, std::span(runs[v]).subspan(fed[v], n * rec));
+      fed[v] += n * rec;
+      continue;
+    }
+    const std::size_t window =
+        std::min<std::size_t>((total - at) / rec, 1 + rng.below(64)) * rec;
+    const std::size_t wrote = m.merge(std::span(out).subspan(at, window));
+    EXPECT_GT(wrote, 0u) << "a merge with no dry run must make progress";
+    if (wrote == 0) break;
+    at += wrote;
+  }
+  EXPECT_EQ(at, total);
+  return out;
+}
+
+TEST_P(KernelsParam, MultiwayMergeMatchesSortOracle) {
+  const std::uint32_t rec = GetParam();
+  for (const std::size_t k : {1u, 2u, 3u, 16u, 257u}) {
+    for (const KeyMix mix : {KeyMix::kUniform, KeyMix::kAllEqual,
+                             KeyMix::kSmallRange, KeyMix::kMaxHeavy}) {
+      const int m = static_cast<int>(mix);
+      const auto runs = make_sorted_runs(k, rec, mix, 100 * k + m);
+      const auto expected = oracle(runs, rec);
+      std::vector<std::byte> out(expected.size());
+      multiway_merge(spans_of(runs), rec, out);
+      EXPECT_EQ(out, expected) << "one-shot, k=" << k << " mix=" << m;
+      EXPECT_EQ(stream_merge(runs, rec, k), expected)
+          << "streaming, k=" << k << " mix=" << m;
+    }
+  }
+}
+
+TEST_P(KernelsParam, MergeRecordsIsTwoRunMultiwayMerge) {
+  const std::uint32_t rec = GetParam();
+  for (const KeyMix mix : {KeyMix::kSmallRange, KeyMix::kMaxHeavy}) {
+    const auto runs = make_sorted_runs(2, rec, mix, 5);
+    std::vector<std::byte> out(runs[0].size() + runs[1].size());
+    merge_records(runs[0], runs[1], rec, out);
+    EXPECT_EQ(out, oracle(runs, rec));
+  }
+}
+
+TEST(Kernels, MultiwayMergeOfNoRunsIsDone) {
+  MultiwayMerger m(0, 16);
+  EXPECT_TRUE(m.done());
+  EXPECT_EQ(m.dry(), MultiwayMerger::kNone);
+  std::vector<std::byte> out(32);
+  EXPECT_EQ(m.merge(out), 0u);
+  multiway_merge({}, 16, out);
+}
+
+TEST(Kernels, MultiwayMergerRejectsProtocolErrors) {
+  auto run = make_records({1, 2, 3}, 16);
+  MultiwayMerger m(2, 16);
+  EXPECT_THROW(m.feed(1, run), std::logic_error);  // run 0 is dry first
+  m.feed(0, run);
+  EXPECT_THROW(m.feed(1, std::span(run).first(8)), std::invalid_argument);
+  m.feed(1, {});
+  std::vector<std::byte> odd(24);
+  EXPECT_THROW(m.merge(odd), std::invalid_argument);
+  EXPECT_THROW(MultiwayMerger(2, 8), std::invalid_argument);
+  std::vector<std::byte> small(16);
+  EXPECT_THROW(merge_records(run, run, 16, small), std::invalid_argument);
 }
 
 TEST_P(KernelsParam, SortIsDeterministicUnderEqualKeys) {
@@ -191,17 +329,34 @@ TEST(Kernels, MergeWithDuplicatesKeepsAll) {
   EXPECT_EQ(out.size() / 16, 7u);
 }
 
-TEST(Kernels, GatherScatterRoundTrip) {
-  auto data = make_records({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 16);
-  std::vector<std::byte> packed(4 * 16);
-  // Gather positions 1, 4, 7, 10.
-  gather_strided(data, 16, 1, 3, 4, packed);
-  EXPECT_EQ(keys_of(packed, 16), (std::vector<std::uint64_t>{1, 4, 7, 10}));
-  // Scatter them back into a zeroed copy.
-  std::vector<std::byte> out(data.size());
-  scatter_strided(packed, 16, 1, 3, 4, out);
-  EXPECT_EQ(key_of(out.data() + 4 * 16), 4u);
-  EXPECT_EQ(key_of(out.data() + 10 * 16), 10u);
+TEST(Kernels, GatherStridedPicksPositions) {
+  auto data = make_records({100, 101, 102, 103, 104, 105, 106, 107, 108, 109,
+                            110, 111}, 32);
+  std::vector<std::byte> packed(5 * 32, std::byte{0xee});
+  // Positions 1, 4, 7, 10 into the first four of five slots.
+  gather_strided(data, 32, 1, 3, 4, packed);
+  EXPECT_EQ(keys_of(std::span(packed).first(4 * 32), 32),
+            (std::vector<std::uint64_t>{101, 104, 107, 110}));
+  EXPECT_TRUE(std::equal(packed.begin() + 32, packed.begin() + 64,
+                         data.begin() + 4 * 32));  // payload moves too
+  EXPECT_EQ(packed.back(), std::byte{0xee});        // slot 5 untouched
+  // The last position read may be the last record.
+  gather_strided(data, 32, 2, 3, 4, packed);
+  EXPECT_EQ(keys_of(std::span(packed).first(4 * 32), 32),
+            (std::vector<std::uint64_t>{102, 105, 108, 111}));
+}
+
+TEST(Kernels, GatherStridedRejectsOutOfBounds) {
+  auto data = make_records({0, 1, 2, 3, 4, 5, 6, 7}, 16);
+  std::vector<std::byte> out(8 * 16);
+  EXPECT_THROW(gather_strided(data, 16, 1, 3, 4, out),  // record 10 of 8
+               std::invalid_argument);
+  EXPECT_THROW(gather_strided(data, 16, 8, 1, 1, out), std::invalid_argument);
+  EXPECT_THROW(gather_strided(data, 16, 0, std::size_t{1} << 62, 2, out),
+               std::invalid_argument);  // the offset would wrap
+  std::vector<std::byte> small(2 * 16);
+  EXPECT_THROW(gather_strided(data, 16, 0, 2, 3, small), std::invalid_argument);
+  EXPECT_NO_THROW(gather_strided(data, 16, 1, 3, 3, std::span(out).first(48)));
 }
 
 TEST(Kernels, IsSortedRecords) {
