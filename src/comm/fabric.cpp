@@ -246,7 +246,9 @@ std::vector<std::size_t> Fabric::alltoallv(
     if (n == me) {
       const auto& mine = send[static_cast<std::size_t>(me)];
       if (mine.size() > recv_all.size() - offset) throw too_small();
-      std::memcpy(recv_all.data() + offset, mine.data(), mine.size());
+      if (!mine.empty()) {
+        std::memcpy(recv_all.data() + offset, mine.data(), mine.size());
+      }
       sizes[static_cast<std::size_t>(me)] = mine.size();
       offset += mine.size();
       continue;

@@ -102,7 +102,10 @@ class Mailbox {
                 "fg::comm::Fabric::recv: message larger than receive buffer");
           }
           RecvResult r{best->src, best->tag, best->payload.size()};
-          std::memcpy(out.data(), best->payload.data(), best->payload.size());
+          if (!best->payload.empty()) {
+            std::memcpy(out.data(), best->payload.data(),
+                        best->payload.size());
+          }
           std::vector<std::byte> spent = std::move(best->payload);
           messages_.erase(best);
           if (recycler_) {

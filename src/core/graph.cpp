@@ -13,7 +13,6 @@ struct PipelineGraph::Impl {
   std::vector<std::unique_ptr<Pipeline>> pipelines;
   std::unique_ptr<ExecutionPlan> plan;   // cached after first build
   std::unique_ptr<GraphRuntime> last;    // most recent run (stats live here)
-  EventSink* sink{nullptr};
   obs::Session* obs{nullptr};
   std::size_t runs_completed{0};
   util::Duration watchdog_window{util::Duration::zero()};
@@ -48,10 +47,6 @@ std::size_t PipelineGraph::planned_threads() const {
   return impl_->ensure_plan().thread_count();
 }
 
-void PipelineGraph::set_event_sink(EventSink* sink) {
-  impl_->sink = sink;
-}
-
 void PipelineGraph::set_observability(obs::Session* session) {
   impl_->obs = session;
 }
@@ -72,8 +67,8 @@ void PipelineGraph::run() {
   const ExecutionPlan& plan = impl_->ensure_plan();
   // Fresh queues, pools, and statistics every run; replacing the previous
   // runtime is what resets stats between runs.
-  impl_->last = std::make_unique<GraphRuntime>(plan, impl_->sink,
-                                               impl_->obs, impl_->options);
+  impl_->last =
+      std::make_unique<GraphRuntime>(plan, impl_->obs, impl_->options);
   impl_->last->set_watchdog(impl_->watchdog_window);
   if (impl_->abort_hook) impl_->last->set_abort_hook(impl_->abort_hook);
   impl_->last->run();  // on throw, `last` keeps the partial stats
@@ -103,6 +98,59 @@ std::vector<BufferAudit> PipelineGraph::audit_buffers() const {
 
 std::size_t PipelineGraph::runs_completed() const {
   return impl_->runs_completed;
+}
+
+// ---------------------------------------------------------------------------
+// JSON export
+// ---------------------------------------------------------------------------
+
+void write_stage_stats_json(util::JsonWriter& w,
+                            const std::vector<StageStats>& stages) {
+  w.begin_array();
+  for (const StageStats& s : stages) {
+    w.begin_object();
+    w.kv("stage", s.stage);
+    w.kv("pipelines", s.pipelines);
+    w.kv("buffers", s.buffers);
+    w.kv("working_s", s.working_seconds());
+    w.kv("accept_blocked_s", s.accept_seconds());
+    w.kv("convey_blocked_s", s.convey_seconds());
+    w.end_object();
+  }
+  w.end_array();
+}
+
+void RunStats::write_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.kv("wall_seconds", wall_seconds);
+  w.kv("runs_completed", runs_completed);
+  w.kv("executor", executor.empty() ? "threads" : executor);
+  w.key("stages");
+  write_stage_stats_json(w, stages);
+  w.key("queues");
+  w.begin_array();
+  for (std::size_t i = 0; i < queues.size(); ++i) {
+    const QueueStats& q = queues[i];
+    w.begin_object();
+    w.kv("index", i);
+    w.kv("kind", to_string(q.kind));
+    w.kv("capacity", q.capacity);
+    w.kv("pushes", q.pushes);
+    w.kv("pops", q.pops);
+    w.kv("peak", q.peak);
+    w.kv("forced", q.forced);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("disk_retries");
+  w.begin_object();
+  w.kv("attempts", disk_retries.attempts);
+  w.kv("retries", disk_retries.retries);
+  w.kv("absorbed", disk_retries.absorbed);
+  w.kv("exhausted", disk_retries.exhausted);
+  w.end_object();
+  w.kv("faults_injected", faults_injected);
+  w.end_object();
 }
 
 }  // namespace fg

@@ -1,6 +1,6 @@
 // PipelineGraph assembles and executes a set of FG pipelines on one node.
 //
-// The graph is a thin facade over three layers:
+// The graph is a thin facade over two layers:
 //
 //  * plan     (core/plan.hpp)    — ExecutionPlan freezes the pipelines,
 //                                  merges virtual groups, validates the
@@ -8,10 +8,11 @@
 //                                  topology as immutable data;
 //  * runtime  (core/runtime.hpp) — GraphRuntime materializes fresh queues
 //                                  and buffer pools from the plan, spawns
-//                                  and joins the worker threads, and
-//                                  handles abort/unwind;
-//  * events   (core/events.hpp)  — instrumentation hooks feeding
-//                                  StageStats and the JSON stats export.
+//                                  and joins the worker threads, feeds
+//                                  StageStats and obs spans, and handles
+//                                  abort/unwind.
+//
+// RunStats, declared here, is the JSON stats export of one run.
 //
 // The graph detects the three pipeline relationships the paper describes:
 //
@@ -37,19 +38,49 @@
 // server can replay the same heavy topology without rebuilding it.
 #pragma once
 
-#include "core/events.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/queue.hpp"
 #include "core/runtime.hpp"
 #include "core/stage.hpp"
 #include "core/stage_stats.hpp"
+#include "util/retry.hpp"
+#include "util/trace.hpp"
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace fg {
+
+/// Everything one completed run reports: per-worker StageStats, per-queue
+/// counters, and the run's wall time.  Reset at the start of every run of
+/// a rerunnable graph.
+struct RunStats {
+  std::vector<StageStats> stages;
+  std::vector<QueueStats> queues;
+  double wall_seconds{0.0};
+  std::size_t runs_completed{0};  ///< how many times the graph has run
+  /// Executor backend of the most recent run ("threads" or "tasks").
+  std::string executor;
+
+  // Fault/recovery counters.  The runtime itself does not fill these —
+  // the program that owns the disks and the fault injector aggregates them
+  // (see fgsort) so one blob describes the whole run.
+  util::RetryStats disk_retries;
+  std::uint64_t faults_injected{0};
+
+  /// Emit as one JSON object: {"wall_seconds":…,"stages":[…],"queues":[…],
+  /// "disk_retries":{…},"faults_injected":…}.
+  void write_json(util::JsonWriter& w) const;
+};
+
+/// Emit a vector of StageStats as a JSON array (shared by RunStats and
+/// the sort programs' aggregated reports).
+void write_stage_stats_json(util::JsonWriter& w,
+                            const std::vector<StageStats>& stages);
 
 class PipelineGraph {
  public:
@@ -77,11 +108,6 @@ class PipelineGraph {
   /// workers after virtual-group merging, replicas included).  Valid
   /// before or after run(); the virtual-stage benches assert on this.
   std::size_t planned_threads() const;
-
-  /// Install an observer receiving per-stage events during subsequent
-  /// runs; pass nullptr to detach.  The sink must be thread-safe and must
-  /// outlive every run() it observes.
-  void set_event_sink(EventSink* sink);
 
   /// Attach an observability session: subsequent runs emit spans into
   /// per-thread lock-free rings (stage work, accept/convey waits, queue

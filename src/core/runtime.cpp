@@ -8,19 +8,6 @@
 
 namespace fg {
 
-const char* to_string(StageEventKind k) noexcept {
-  switch (k) {
-    case StageEventKind::kBufferAccepted: return "accept";
-    case StageEventKind::kBufferConveyed: return "convey";
-    case StageEventKind::kBufferRecycled: return "recycle";
-    case StageEventKind::kCabooseForwarded: return "caboose";
-    case StageEventKind::kPipelineClosed: return "close";
-    case StageEventKind::kQueuePush: return "qpush";
-    case StageEventKind::kQueuePop: return "qpop";
-  }
-  return "?";
-}
-
 const char* to_string(ChannelKind k) noexcept {
   switch (k) {
     case ChannelKind::kMpmc: return "mpmc";
@@ -33,9 +20,9 @@ const char* to_string(ChannelKind k) noexcept {
 // Construction: materialize queues, pools, and workers from the plan
 // ---------------------------------------------------------------------------
 
-GraphRuntime::GraphRuntime(const ExecutionPlan& plan, EventSink* sink,
-                           obs::Session* obs, RuntimeOptions options)
-    : plan_(&plan), sink_(sink), obs_(obs) {
+GraphRuntime::GraphRuntime(const ExecutionPlan& plan, obs::Session* obs,
+                           RuntimeOptions options)
+    : plan_(&plan), obs_(obs) {
   executor_kind_ = resolve_executor(options.executor);
   executor_name_ = to_string(executor_kind_);
   task_workers_ = resolve_task_workers(options.task_workers);
@@ -139,12 +126,6 @@ void GraphRuntime::abort_all() {
   // Parked tasks are not blocked in any channel op; the task executor
   // must wake them so they observe the abort tokens and unwind.
   if (notifier_ != nullptr) notifier_->on_abort();
-}
-
-void GraphRuntime::emit_queue(StageEventKind kind, const Channel* q,
-                              PipelineId pid) {
-  if (!sink_) return;
-  sink_->on_event(StageEvent{kind, queue_index_.at(q), pid, q->size()});
 }
 
 // ---------------------------------------------------------------------------
@@ -396,59 +377,6 @@ std::vector<BufferAudit> GraphRuntime::audit_buffers() const {
     });
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// JSON export
-// ---------------------------------------------------------------------------
-
-void write_stage_stats_json(util::JsonWriter& w,
-                            const std::vector<StageStats>& stages) {
-  w.begin_array();
-  for (const StageStats& s : stages) {
-    w.begin_object();
-    w.kv("stage", s.stage);
-    w.kv("pipelines", s.pipelines);
-    w.kv("buffers", s.buffers);
-    w.kv("working_s", s.working_seconds());
-    w.kv("accept_blocked_s", s.accept_seconds());
-    w.kv("convey_blocked_s", s.convey_seconds());
-    w.end_object();
-  }
-  w.end_array();
-}
-
-void RunStats::write_json(util::JsonWriter& w) const {
-  w.begin_object();
-  w.kv("wall_seconds", wall_seconds);
-  w.kv("runs_completed", runs_completed);
-  w.kv("executor", executor.empty() ? "threads" : executor);
-  w.key("stages");
-  write_stage_stats_json(w, stages);
-  w.key("queues");
-  w.begin_array();
-  for (std::size_t i = 0; i < queues.size(); ++i) {
-    const QueueStats& q = queues[i];
-    w.begin_object();
-    w.kv("index", i);
-    w.kv("kind", to_string(q.kind));
-    w.kv("capacity", q.capacity);
-    w.kv("pushes", q.pushes);
-    w.kv("pops", q.pops);
-    w.kv("peak", q.peak);
-    w.kv("forced", q.forced);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("disk_retries");
-  w.begin_object();
-  w.kv("attempts", disk_retries.attempts);
-  w.kv("retries", disk_retries.retries);
-  w.kv("absorbed", disk_retries.absorbed);
-  w.kv("exhausted", disk_retries.exhausted);
-  w.end_object();
-  w.kv("faults_injected", faults_injected);
-  w.end_object();
 }
 
 }  // namespace fg

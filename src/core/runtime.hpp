@@ -12,8 +12,7 @@
 // queues (best effort — an aborted queue drops the push, but the pool
 // still owns every buffer), and rethrows the first exception from run().
 //
-// Instrumentation: the loops feed StageStats unconditionally and forward
-// StageEvents to an optional EventSink (see core/events.hpp).  When an
+// Instrumentation: the loops feed StageStats unconditionally.  When an
 // obs::Session is attached, each worker thread additionally writes
 // begin/end spans into a private lock-free ring (stage work, accept- and
 // convey-waits, queue-depth samples), the sink records round latencies,
@@ -21,7 +20,6 @@
 // hot path touches no lock and allocates nothing.
 #pragma once
 
-#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/queue.hpp"
@@ -93,12 +91,12 @@ class QueueNotifier {
 class GraphRuntime {
  public:
   /// Materialize channels and pools for `plan`.  The plan must outlive
-  /// the runtime; `sink` and `obs` may be null.  With a session attached
-  /// the run contributes spans and metrics to it (see class comment).
-  /// `options` picks the executor backend and channel policy (kAuto
-  /// resolves from the environment).
-  GraphRuntime(const ExecutionPlan& plan, EventSink* sink,
-               obs::Session* obs = nullptr, RuntimeOptions options = {});
+  /// the runtime; `obs` may be null.  With a session attached the run
+  /// contributes spans and metrics to it (see class comment).  `options`
+  /// picks the executor backend and channel policy (kAuto resolves from
+  /// the environment).
+  explicit GraphRuntime(const ExecutionPlan& plan, obs::Session* obs = nullptr,
+                        RuntimeOptions options = {});
   ~GraphRuntime();
 
   GraphRuntime(const GraphRuntime&) = delete;
@@ -175,16 +173,7 @@ class GraphRuntime {
   void watchdog_loop();
   std::string stall_report() const;
 
-  void emit(StageEventKind kind, std::uint32_t worker, PipelineId pid,
-            std::size_t depth = 0) {
-    if (sink_) sink_->on_event(StageEvent{kind, worker, pid, depth});
-  }
-  /// Occupancy sample after a queue operation; only taken when a sink is
-  /// installed (costs one extra lock).
-  void emit_queue(StageEventKind kind, const Channel* q, PipelineId pid);
-
   const ExecutionPlan* plan_;
-  EventSink* sink_;
   obs::Session* obs_{nullptr};
 
   // Resolved execution options (kAuto already applied).

@@ -13,8 +13,6 @@ namespace fg {
 void GraphRuntime::park_token(RunWorker& w, Token t) {
   Channel* q = source_in(t.pipeline);
   if (!traced_push(w, q, t)) q->force_push(t);
-  emit(StageEventKind::kBufferRecycled, w.index, t.pipeline);
-  emit_queue(StageEventKind::kQueuePush, q, t.pipeline);
 }
 
 void GraphRuntime::source_loop(RunWorker& w) {
@@ -44,8 +42,6 @@ void GraphRuntime::source_loop(RunWorker& w) {
       return false;
     }
     ++w.stats.buffers;
-    emit(StageEventKind::kBufferConveyed, w.index, pid);
-    emit_queue(StageEventKind::kQueuePush, q, pid);
     return true;
   };
   auto send_caboose = [&](PipelineId pid) {
@@ -53,7 +49,6 @@ void GraphRuntime::source_loop(RunWorker& w) {
     st.caboose_sent = true;
     --active;
     traced_push(w, w.out.at(pid), Token::caboose(pid));
-    emit(StageEventKind::kCabooseForwarded, w.index, pid);
   };
   auto finish_if_done = [&](PipelineId pid) {
     auto& st = w.src[pid];
@@ -87,11 +82,7 @@ void GraphRuntime::source_loop(RunWorker& w) {
       case TokenKind::kAbort:
         return;
       case TokenKind::kClose: {
-        auto& st = w.src[t.pipeline];
-        if (!st.caboose_sent) {
-          send_caboose(t.pipeline);
-          emit(StageEventKind::kPipelineClosed, w.index, t.pipeline);
-        }
+        if (!w.src[t.pipeline].caboose_sent) send_caboose(t.pipeline);
         break;
       }
       case TokenKind::kBuffer: {
@@ -182,7 +173,6 @@ void GraphRuntime::map_loop(RunWorker& w) {
         if (ring != nullptr)
           ring->emit(obs::SpanKind::kStageWork, t.pipeline, 0, tw, tw1);
         traced_push(w, w.out.at(t.pipeline), t);
-        emit(StageEventKind::kCabooseForwarded, w.index, t.pipeline);
         if (--active == 0) return;
         break;
       }
@@ -194,7 +184,6 @@ void GraphRuntime::map_loop(RunWorker& w) {
           park_token(w, t);
           break;
         }
-        emit(StageEventKind::kBufferAccepted, w.index, pid);
         const auto tw = util::Clock::now();
         StageAction action;
         try {
@@ -227,12 +216,7 @@ void GraphRuntime::map_loop(RunWorker& w) {
           if (ring != nullptr) {
             ring->emit(obs::SpanKind::kConveyWait, pid, round, tc, tc1);
           }
-          if (!ok) {
-            park_token(w, t);  // teardown: keep the buffer accountable
-          } else {
-            emit(StageEventKind::kBufferConveyed, w.index, pid);
-            emit_queue(StageEventKind::kQueuePush, q, pid);
-          }
+          if (!ok) park_token(w, t);  // teardown: keep the buffer accountable
         } else {
           park_token(w, t);
         }
@@ -240,9 +224,7 @@ void GraphRuntime::map_loop(RunWorker& w) {
           closed[pid] = true;
           // A refused push means teardown is underway; the source is
           // unwinding anyway, and the kAbort token ends this loop next.
-          if (traced_push(w, source_in(pid), Token::close(pid))) {
-            emit(StageEventKind::kPipelineClosed, w.index, pid);
-          }
+          traced_push(w, source_in(pid), Token::close(pid));
         }
         break;
       }
@@ -315,7 +297,6 @@ void GraphRuntime::map_loop_replicated(RunWorker& w) {
         if (ring != nullptr)
           ring->emit(obs::SpanKind::kStageWork, pid, 0, tw, tw1);
         traced_push(w, w.out.at(pid), t);
-        emit(StageEventKind::kCabooseForwarded, w.index, pid);
         bool last;
         {
           std::lock_guard<std::mutex> lock(shared.mutex);
@@ -341,7 +322,6 @@ void GraphRuntime::map_loop_replicated(RunWorker& w) {
             break;
           }
         }
-        emit(StageEventKind::kBufferAccepted, w.index, pid);
         const auto tw = util::Clock::now();
         StageAction action;
         try {
@@ -377,12 +357,7 @@ void GraphRuntime::map_loop_replicated(RunWorker& w) {
           if (ring != nullptr) {
             ring->emit(obs::SpanKind::kConveyWait, pid, round, tc, tc1);
           }
-          if (!ok) {
-            park_token(w, t);
-          } else {
-            emit(StageEventKind::kBufferConveyed, w.index, pid);
-            emit_queue(StageEventKind::kQueuePush, q, pid);
-          }
+          if (!ok) park_token(w, t);
         } else {
           park_token(w, t);
         }
@@ -393,10 +368,7 @@ void GraphRuntime::map_loop_replicated(RunWorker& w) {
             first_close = !shared.closed[pid];
             shared.closed[pid] = true;
           }
-          if (first_close &&
-              traced_push(w, source_in(pid), Token::close(pid))) {
-            emit(StageEventKind::kPipelineClosed, w.index, pid);
-          }
+          if (first_close) traced_push(w, source_in(pid), Token::close(pid));
         }
         {
           std::lock_guard<std::mutex> lock(shared.mutex);
@@ -423,7 +395,7 @@ void GraphRuntime::Context::convey(Buffer* b) {
   }
   held_.erase(b);
   // Capture before the push: a conveyed buffer may be recycled and
-  // re-stamped by the source before the emits below run.
+  // re-stamped by the source before the span emit below runs.
   const PipelineId pid = b->pipeline();
   const std::uint64_t round = b->round();
   const auto t0 = util::Clock::now();
@@ -437,8 +409,6 @@ void GraphRuntime::Context::convey(Buffer* b) {
     rt_.park_token(w_, Token::of_buffer(b));
     throw AbortSignal{};
   }
-  rt_.emit(StageEventKind::kBufferConveyed, w_.index, pid);
-  rt_.emit_queue(StageEventKind::kQueuePush, it->second, pid);
 }
 
 void GraphRuntime::Context::recycle(Buffer* b) {
@@ -453,7 +423,6 @@ void GraphRuntime::Context::close(const Pipeline& p) {
   if (!rt_.traced_push(w_, rt_.source_in(p.id()), Token::close(p.id()))) {
     throw AbortSignal{};
   }
-  rt_.emit(StageEventKind::kPipelineClosed, w_.index, p.id());
 }
 
 void GraphRuntime::Context::park_outstanding() {
@@ -502,7 +471,6 @@ Buffer* GraphRuntime::Context::accept_pid(PipelineId pid) {
         if (t.pipeline == pid) return nullptr;
         break;
       case TokenKind::kBuffer:
-        rt_.emit(StageEventKind::kBufferAccepted, w_.index, t.pipeline);
         if (t.pipeline == pid) {
           held_.insert(t.buffer);
           return t.buffer;
@@ -535,10 +503,7 @@ void GraphRuntime::custom_loop(RunWorker& w) {
   // Flush: every outbound port gets this stage's caboose.
   for (PipelineId pid : w.spec->members) {
     auto it = w.out.find(pid);
-    if (it != w.out.end()) {
-      traced_push(w, it->second, Token::caboose(pid));
-      emit(StageEventKind::kCabooseForwarded, w.index, pid);
-    }
+    if (it != w.out.end()) traced_push(w, it->second, Token::caboose(pid));
   }
 }
 

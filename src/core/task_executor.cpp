@@ -257,7 +257,6 @@ struct TaskExecutor::SourceTask final : Task {
   // once at prepare so a retried push never re-stamps the buffer.
   bool pending{false};
   bool pending_caboose{false};
-  bool pending_close_event{false};
   Token ptok{};
   PipelineId ppid{kNoPipeline};
   std::uint64_t pround{0};
@@ -278,10 +277,9 @@ struct TaskExecutor::SourceTask final : Task {
     ppid = pid;
     pending = true;
     pending_caboose = false;
-    pending_close_event = false;
   }
 
-  void prepare_caboose(PipelineId pid, bool close_event) {
+  void prepare_caboose(PipelineId pid) {
     // Flags flip at prepare time, exactly when the blocking path flips
     // them (before its push).
     w.src[pid].caboose_sent = true;
@@ -290,13 +288,12 @@ struct TaskExecutor::SourceTask final : Task {
     ppid = pid;
     pending = true;
     pending_caboose = true;
-    pending_close_event = close_event;
   }
 
   void finish_if_done(PipelineId pid) {
     auto& st = w.src[pid];
     if (!st.caboose_sent && st.target != 0 && st.emitted >= st.target)
-      prepare_caboose(pid, false);
+      prepare_caboose(pid);
   }
 
   Step resume(int& budget) override {
@@ -310,9 +307,6 @@ struct TaskExecutor::SourceTask final : Task {
         if (pending_caboose) {
           // As in the blocking path, the caboose's push result is
           // ignored: an aborted queue drops control tokens harmlessly.
-          rt.emit(StageEventKind::kCabooseForwarded, w.index, ppid);
-          if (pending_close_event)
-            rt.emit(StageEventKind::kPipelineClosed, w.index, ppid);
           continue;
         }
         const auto t1 = util::Clock::now();
@@ -324,8 +318,6 @@ struct TaskExecutor::SourceTask final : Task {
           return Step::kDone;
         }
         ++w.stats.buffers;
-        rt.emit(StageEventKind::kBufferConveyed, w.index, ppid);
-        rt.emit_queue(StageEventKind::kQueuePush, q, ppid);
         finish_if_done(ppid);
         continue;
       }
@@ -367,8 +359,7 @@ struct TaskExecutor::SourceTask final : Task {
         case TokenKind::kAbort:
           return Step::kDone;
         case TokenKind::kClose:
-          if (!w.src[t.pipeline].caboose_sent)
-            prepare_caboose(t.pipeline, true);
+          if (!w.src[t.pipeline].caboose_sent) prepare_caboose(t.pipeline);
           break;
         case TokenKind::kBuffer: {
           auto& st = w.src[t.pipeline];
@@ -472,8 +463,7 @@ struct TaskExecutor::MapTask final : Task {
     closed[pid] = true;
     // A refused push means teardown is underway; the kAbort token ends
     // this task on its next pop.  source_in is unbounded: never blocks.
-    if (rt.traced_push(w, rt.source_in(pid), Token::close(pid)))
-      rt.emit(StageEventKind::kPipelineClosed, w.index, pid);
+    rt.traced_push(w, rt.source_in(pid), Token::close(pid));
   }
 
   Step resume(int& budget) override {
@@ -485,7 +475,6 @@ struct TaskExecutor::MapTask final : Task {
         if (r == PushResult::kFull) return Step::kYield;
         pending = false;
         if (pending_caboose) {
-          rt.emit(StageEventKind::kCabooseForwarded, w.index, ppid);
           if (--active == 0) return Step::kDone;
           continue;
         }
@@ -493,12 +482,8 @@ struct TaskExecutor::MapTask final : Task {
         w.stats.convey_blocked += t1 - pt0;
         if (ring != nullptr)
           ring->emit(obs::SpanKind::kConveyWait, ppid, pround, pt0, t1);
-        if (r == PushResult::kAborted) {
-          rt.park_token(w, ptok);  // teardown: keep the buffer accountable
-        } else {
-          rt.emit(StageEventKind::kBufferConveyed, w.index, ppid);
-          rt.emit_queue(StageEventKind::kQueuePush, q, ppid);
-        }
+        // Teardown: keep the buffer accountable.
+        if (r == PushResult::kAborted) rt.park_token(w, ptok);
         if (close_after) do_close(ppid);
         continue;
       }
@@ -537,7 +522,6 @@ struct TaskExecutor::MapTask final : Task {
             rt.park_token(w, t);
             break;
           }
-          rt.emit(StageEventKind::kBufferAccepted, w.index, pid);
           const auto tw = util::Clock::now();
           StageAction action;
           try {
@@ -645,7 +629,6 @@ struct TaskExecutor::ReplMapTask final : Task {
         if (r == PushResult::kFull) return Step::kYield;
         pending = false;
         if (pending_caboose) {
-          rt.emit(StageEventKind::kCabooseForwarded, w.index, ppid);
           bool last;
           {
             std::lock_guard<std::mutex> lock(shared.mutex);
@@ -663,12 +646,7 @@ struct TaskExecutor::ReplMapTask final : Task {
         local.convey_blocked += t1 - pt0;
         if (ring != nullptr)
           ring->emit(obs::SpanKind::kConveyWait, ppid, pround, pt0, t1);
-        if (r == PushResult::kAborted) {
-          rt.park_token(w, ptok);
-        } else {
-          rt.emit(StageEventKind::kBufferConveyed, w.index, ppid);
-          rt.emit_queue(StageEventKind::kQueuePush, q, ppid);
-        }
+        if (r == PushResult::kAborted) rt.park_token(w, ptok);
         if (close_after) {
           bool first_close;
           {
@@ -676,9 +654,8 @@ struct TaskExecutor::ReplMapTask final : Task {
             first_close = !shared.closed[ppid];
             shared.closed[ppid] = true;
           }
-          if (first_close &&
-              rt.traced_push(w, rt.source_in(ppid), Token::close(ppid)))
-            rt.emit(StageEventKind::kPipelineClosed, w.index, ppid);
+          if (first_close)
+            rt.traced_push(w, rt.source_in(ppid), Token::close(ppid));
         }
         {
           std::lock_guard<std::mutex> lock(shared.mutex);
@@ -763,7 +740,6 @@ struct TaskExecutor::ReplMapTask final : Task {
             ex.wake_worker_tasks(w.index);
             break;
           }
-          rt.emit(StageEventKind::kBufferAccepted, w.index, pid);
           const auto tw = util::Clock::now();
           StageAction action;
           try {
@@ -807,9 +783,8 @@ struct TaskExecutor::ReplMapTask final : Task {
                 first_close = !shared.closed[pid];
                 shared.closed[pid] = true;
               }
-              if (first_close &&
-                  rt.traced_push(w, rt.source_in(pid), Token::close(pid)))
-                rt.emit(StageEventKind::kPipelineClosed, w.index, pid);
+              if (first_close)
+                rt.traced_push(w, rt.source_in(pid), Token::close(pid));
             }
             {
               std::lock_guard<std::mutex> lock(shared.mutex);

@@ -1,11 +1,11 @@
 // Span records and the per-thread ring they are written into.
 //
 // The whole point of this layer is to measure overlap without perturbing
-// it: the old TraceLog funnelled every worker through one mutex, which
-// serializes exactly the threads whose concurrency we want to observe.
-// Here each OS thread owns a fixed-size SpanRing; emission is a handful
-// of stores into preallocated memory — no lock, no allocation, no
-// atomics.  Rings are handed out by an obs::SpanCollector (cold path)
+// it: one shared, locked log would funnel every worker through one mutex,
+// which serializes exactly the threads whose concurrency we want to
+// observe.  Here each OS thread owns a fixed-size SpanRing; emission is a
+// handful of stores into preallocated memory — no lock, no allocation,
+// no atomics.  Rings are handed out by an obs::SpanCollector (cold path)
 // and read back only after the writing threads have joined, so the
 // join's happens-before edge is the only synchronization needed.
 //

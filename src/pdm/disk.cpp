@@ -2,14 +2,17 @@
 
 #include "obs/span.hpp"
 #include "pdm/native_disk.hpp"
-#include "pdm/stdio_disk.hpp"
+#include "pdm/spindle_disk.hpp"
 #include "pdm/uring_disk.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 
+#include <unistd.h>
+
 #include <condition_variable>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace fg::pdm {
 
@@ -39,8 +42,7 @@ std::unique_ptr<Disk> make_disk(DiskBackend backend, std::filesystem::path dir,
         throw std::invalid_argument(
             "fg::pdm::make_disk: O_DIRECT requires the native backend");
       }
-      auto d = std::make_unique<StdioDisk>(std::move(dir), model);
-      return d;
+      return std::make_unique<SpindleDisk>(std::move(dir), model);
     }
     case DiskBackend::kNative: {
       NativeDiskOptions opts;
@@ -81,29 +83,33 @@ ShortReadError::ShortReadError(const std::string& file, std::uint64_t offset,
 
 // -- File -------------------------------------------------------------------
 
+bool File::close_fd() noexcept {
+  const int fd = std::exchange(fd_, -1);
+  return fd < 0 || ::close(fd) == 0;
+}
+
 File::~File() {
-  if (impl_) {
-    if (const char* step = impl_->close_handle()) {
-      // Destructors can't throw; a failed close here means buffered writes
-      // may be lost.  Callers who care route through Disk::close instead.
-      FG_LOG(kError) << "fg::pdm::File: " << step << " failed on " << name_
-                     << "; buffered writes may be lost";
-    }
+  // Destructors can't throw; a failed close here means written bytes may
+  // be lost.  Callers who care route through Disk::close instead.
+  if (!close_fd()) {
+    FG_LOG(kError) << "fg::pdm::File: close failed on " << name_
+                   << "; written bytes may be lost";
   }
 }
 
 File::File(File&& other) noexcept
-    : impl_(std::move(other.impl_)), name_(std::move(other.name_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      open_id_(other.open_id_),
+      name_(std::move(other.name_)) {}
 
 File& File::operator=(File&& other) noexcept {
   if (this != &other) {
-    if (impl_) {
-      if (const char* step = impl_->close_handle()) {
-        FG_LOG(kError) << "fg::pdm::File: " << step << " failed on " << name_
-                       << "; buffered writes may be lost";
-      }
+    if (!close_fd()) {
+      FG_LOG(kError) << "fg::pdm::File: close failed on " << name_
+                     << "; written bytes may be lost";
     }
-    impl_ = std::move(other.impl_);
+    fd_ = std::exchange(other.fd_, -1);
+    open_id_ = other.open_id_;
     name_ = std::move(other.name_);
   }
   return *this;
@@ -220,12 +226,18 @@ void Disk::record_busy(util::Duration d) {
 
 // -- Disk: files ------------------------------------------------------------
 
+// The name is copied before the open so that nothing can throw while the
+// new fd has no owner.
 File Disk::create(const std::string& name) {
-  return File(create_once(dir_ / name), name);
+  std::string owned = name;
+  return File(create_once(dir_ / name), next_open_id_.fetch_add(1),
+              std::move(owned));
 }
 
 File Disk::open(const std::string& name) {
-  return File(open_once(dir_ / name), name);
+  std::string owned = name;
+  return File(open_once(dir_ / name), next_open_id_.fetch_add(1),
+              std::move(owned));
 }
 
 bool Disk::exists(const std::string& name) const {
@@ -239,10 +251,9 @@ void Disk::remove(const std::string& name) {
 void Disk::close(File& f) {
   if (!f.is_open()) return;
   closing(f);
-  std::unique_ptr<File::Impl> impl = std::move(f.impl_);
-  if (const char* step = impl->close_handle()) {
-    throw std::runtime_error(std::string("fg::pdm::Disk::close: ") + step +
-                             " failed on " + f.name());
+  if (!f.close_fd()) {
+    throw std::runtime_error("fg::pdm::Disk::close: close failed on " +
+                             f.name());
   }
 }
 

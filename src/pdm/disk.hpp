@@ -10,19 +10,20 @@
 // sync_once plus open/create/close), so fault sites fire identically and
 // retries behave identically no matter what sits underneath.
 //
-// Three backends:
-//
-//  * StdioDisk (stdio_disk.hpp) — the simulation backend the paper's
-//    numbers are reproduced on: buffered FILE* I/O, a per-disk mutex held
-//    for the duration of each operation so a node's disk behaves like one
-//    spindle, and an optional latency model (seek + transfer cost)
-//    charged while the mutex is held.
+// Every backend opens files as fds (a File holds one) and moves bytes
+// through NativeDisk's pread/pwrite path.  Three backends:
 //
 //  * NativeDisk (native_disk.hpp) — fd-based positioned pread/pwrite
-//    with no stdio buffering and no global spindle mutex (the kernel
-//    serializes per-fd positioned I/O), optional O_DIRECT, and
-//    fdatasync-backed sync().  This is the "as fast as the hardware
-//    allows" backend.
+//    with no spindle mutex (the kernel serializes per-fd positioned
+//    I/O), optional O_DIRECT, and fdatasync-backed sync().  This is the
+//    "as fast as the hardware allows" backend.
+//
+//  * SpindleDisk (spindle_disk.hpp) — the simulation backend the paper's
+//    numbers are reproduced on, named "stdio" on the command line:
+//    NativeDisk's transfers behind a per-disk mutex held for the
+//    duration of each operation, so a node's disk behaves like one
+//    spindle, and an optional latency model (seek + transfer cost)
+//    charged while the mutex is held.
 //
 //  * UringDisk (uring_disk.hpp) — NativeDisk's files and synchronous
 //    path, but the async requests below go through a real io_uring
@@ -42,6 +43,7 @@
 #include "util/latency.hpp"
 #include "util/retry.hpp"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -66,14 +68,15 @@ struct IoStats {
   std::uint64_t bytes_read{0};
   std::uint64_t write_ops{0};
   std::uint64_t bytes_written{0};
-  /// Modeled time this disk spent busy (latency charges; simulation
-  /// backends only — NativeDisk takes exactly as long as the hardware).
+  /// Modeled time this disk spent busy (latency charges; the spindle
+  /// backend only — NativeDisk takes exactly as long as the hardware).
   util::Duration busy{};
 };
 
 /// Which concrete Disk implementation backs a Workspace.
 enum class DiskBackend {
-  kStdio,   ///< buffered FILE*, spindle mutex, latency model
+  kStdio,   ///< "stdio": SpindleDisk, NativeDisk's path one op at a time
+            ///< behind a spindle mutex, with the latency model
   kNative,  ///< fd-based pread/pwrite, kernel-serialized, no model
   kUring,   ///< NativeDisk files + an io_uring async submission loop
 };
@@ -107,19 +110,11 @@ class ShortReadError : public std::runtime_error {
 
 class Disk;
 
-/// Move-only RAII handle to an open file on a Disk.  The backend-specific
-/// state (a FILE*, an fd) hides behind File::Impl.
+/// Move-only RAII handle to an open file on a Disk: the fd, plus an id
+/// unique to this open on its disk.  Disk::close is the checked close;
+/// the destructor is a best-effort fallback that logs a failed close.
 class File {
  public:
-  /// Backend-private open-file state.  close_handle() flushes and closes
-  /// the underlying handle exactly once and returns nullptr on success or
-  /// the name of the failed step ("flush", "close") — destructors use it
-  /// as a best-effort fallback, Disk::close turns a failure into a throw.
-  struct Impl {
-    virtual ~Impl() = default;
-    virtual const char* close_handle() noexcept = 0;
-  };
-
   File() = default;
   ~File();
   File(File&& other) noexcept;
@@ -127,15 +122,23 @@ class File {
   File(const File&) = delete;
   File& operator=(const File&) = delete;
 
-  bool is_open() const noexcept { return impl_ != nullptr; }
+  bool is_open() const noexcept { return fd_ >= 0; }
   const std::string& name() const noexcept { return name_; }
+  /// The open file descriptor; -1 once closed.
+  int fd() const noexcept { return fd_; }
+  /// Minted per open and never reused, unlike the fd number: the seek
+  /// model keys its head on it.
+  std::uint64_t open_id() const noexcept { return open_id_; }
 
  private:
   friend class Disk;
-  File(std::unique_ptr<Impl> impl, std::string name)
-      : impl_(std::move(impl)), name_(std::move(name)) {}
+  File(int fd, std::uint64_t open_id, std::string name) noexcept
+      : fd_(fd), open_id_(open_id), name_(std::move(name)) {}
+  /// Close the fd exactly once; false if close(2) failed.
+  bool close_fd() noexcept;
 
-  std::unique_ptr<Impl> impl_;
+  int fd_{-1};
+  std::uint64_t open_id_{0};
   std::string name_;
 };
 
@@ -173,8 +176,8 @@ class Disk {
 
   const std::filesystem::path& dir() const noexcept { return dir_; }
 
-  /// The latency model (simulation backends charge it per operation;
-  /// NativeDisk stores but ignores it).  Dataset generation and
+  /// The latency model (the spindle backend charges it per operation;
+  /// the others store but ignore it).  Dataset generation and
   /// verification run with a free model so that only the measured passes
   /// pay simulated I/O latency.
   util::LatencyModel model() const;
@@ -183,13 +186,13 @@ class Disk {
   /// Seek-aware mode: the model's setup cost represents the seek, so an
   /// operation that continues exactly where the previous operation on
   /// this disk left off (same open file, next byte) pays only the
-  /// transfer cost.  Off by default.  Simulation backends only.
+  /// transfer cost.  Off by default.  Spindle backend only.
   virtual void set_seek_aware(bool on);
   bool seek_aware() const;
 
   /// Attach a fault injector: every operation consults the disk.* sites
   /// and translates a firing into a transient EIO, a short transfer, or
-  /// a flush failure — in the base class, so both backends fail
+  /// a flush failure — in the base class, so every backend fails
   /// identically.  `node` tags this disk's operations for @node-scoped
   /// rules.  Pass nullptr to detach.  The injector must outlive the disk.
   void set_fault_injector(fault::Injector* inj, int node = -1);
@@ -225,19 +228,16 @@ class Disk {
   bool exists(const std::string& name) const;
   void remove(const std::string& name);
 
-  /// Flush and close `f`, throwing if either step fails — the checked
-  /// path for files whose buffered writes matter.  Idempotent: closing an
+  /// Close `f`, throwing if close(2) fails.  Idempotent: closing an
   /// already-closed handle is a no-op.  (The File destructor remains a
   /// best-effort fallback that logs, rather than loses, a close failure.)
   /// Every async request against `f` must have completed first.
   void close(File& f);
 
-  /// Current size in bytes.  Flushes buffered writes first and throws if
-  /// the flush fails — a stale size is worse than an exception.
+  /// Current size in bytes.
   std::uint64_t size(const File& f) const;
 
-  /// Flush `f`'s bytes to stable storage (fdatasync on NativeDisk,
-  /// fflush+fsync on StdioDisk); throws on failure.
+  /// Flush `f`'s bytes to stable storage (fdatasync); throws on failure.
   void sync(const File& f);
 
   /// Positioned read; returns bytes actually read (short at EOF).
@@ -283,12 +283,11 @@ class Disk {
  protected:
   // -- physical hooks, implemented by backends --------------------------
   // One physical attempt each; no fault injection, no retries, no stats:
-  // the base owns all of that.  read_once returns bytes read (short at
-  // EOF); write_once must transfer the whole span or throw.
-  virtual std::unique_ptr<File::Impl> create_once(
-      const std::filesystem::path& path) = 0;
-  virtual std::unique_ptr<File::Impl> open_once(
-      const std::filesystem::path& path) = 0;
+  // the base owns all of that.  create_once/open_once return the new fd;
+  // read_once returns bytes read (short at EOF); write_once must
+  // transfer the whole span or throw.
+  virtual int create_once(const std::filesystem::path& path) = 0;
+  virtual int open_once(const std::filesystem::path& path) = 0;
   virtual std::size_t read_once(const File& f, std::uint64_t offset,
                                 std::span<std::byte> out) = 0;
   virtual std::size_t write_once(const File& f, std::uint64_t offset,
@@ -299,15 +298,13 @@ class Disk {
   /// a backend can drop per-file bookkeeping (e.g. the seek-model head).
   virtual void closing(const File&) {}
 
-  /// Record modeled busy time (simulation backends' latency charges).
+  /// Record modeled busy time (the spindle backend's latency charges).
   void record_busy(util::Duration d);
 
   /// Stop and join the I/O worker pool, draining queued requests first.
   /// Every backend destructor MUST call this before destroying its own
   /// state: workers execute requests through the virtual hooks.
   void stop_io() noexcept;
-
-  static File::Impl* impl_of(const File& f) noexcept { return f.impl_.get(); }
 
   // -- subclass async-path support --------------------------------------
   // A backend that overrides read_async/write_async with its own
@@ -346,6 +343,7 @@ class Disk {
   void io_worker();
 
   std::filesystem::path dir_;
+  std::atomic<std::uint64_t> next_open_id_{1};  ///< File::open_id source
 
   mutable std::mutex config_mutex_;  ///< knobs below
   util::LatencyModel model_;
@@ -372,7 +370,7 @@ class Disk {
 };
 
 /// Construct a Disk of the given backend.  `direct` requests O_DIRECT
-/// (NativeDisk/UringDisk only; StdioDisk rejects it).  Requesting
+/// (NativeDisk/UringDisk only; the spindle backend rejects it).  Requesting
 /// kUring on a system without a usable io_uring logs a warning and
 /// falls back to NativeDisk — check backend() on the result for which
 /// one you actually got.

@@ -18,21 +18,6 @@ std::string errno_suffix() {
 
 }  // namespace
 
-struct NativeDisk::NativeFile final : File::Impl {
-  int fd{-1};
-
-  const char* close_handle() noexcept override {
-    const int h = fd;
-    fd = -1;
-    if (h < 0) return nullptr;
-    return ::close(h) == 0 ? nullptr : "close";
-  }
-
-  ~NativeFile() override {
-    if (fd >= 0) ::close(fd);  // close_handle not called; last-resort release
-  }
-};
-
 NativeDisk::NativeDisk(std::filesystem::path dir, NativeDiskOptions opts)
     : Disk(std::move(dir)), opts_(opts) {}
 
@@ -40,16 +25,8 @@ NativeDisk::~NativeDisk() {
   stop_io();  // workers dispatch through our hooks; join before teardown
 }
 
-NativeDisk::NativeFile& NativeDisk::handle(const File& f) {
-  return *static_cast<NativeFile*>(impl_of(f));
-}
-
-int NativeDisk::impl_fd(const File::Impl* impl) noexcept {
-  return static_cast<const NativeFile*>(impl)->fd;
-}
-
-std::unique_ptr<File::Impl> NativeDisk::open_path(
-    const std::filesystem::path& path, int extra_flags) const {
+int NativeDisk::open_path(const std::filesystem::path& path,
+                          int extra_flags) const {
   int flags = O_RDWR | O_CLOEXEC | extra_flags;
 #ifdef O_DIRECT
   if (opts_.direct) flags |= O_DIRECT;
@@ -70,18 +47,14 @@ std::unique_ptr<File::Impl> NativeDisk::open_path(
     throw std::runtime_error("fg::pdm::NativeDisk: cannot open " +
                              path.string() + errno_suffix());
   }
-  auto impl = std::make_unique<NativeFile>();
-  impl->fd = fd;
-  return impl;
+  return fd;
 }
 
-std::unique_ptr<File::Impl> NativeDisk::create_once(
-    const std::filesystem::path& path) {
+int NativeDisk::create_once(const std::filesystem::path& path) {
   return open_path(path, O_CREAT | O_TRUNC);
 }
 
-std::unique_ptr<File::Impl> NativeDisk::open_once(
-    const std::filesystem::path& path) {
+int NativeDisk::open_once(const std::filesystem::path& path) {
   return open_path(path, 0);
 }
 
@@ -102,7 +75,7 @@ void NativeDisk::check_aligned(const char* what, const std::string& name,
 std::size_t NativeDisk::read_once(const File& f, std::uint64_t offset,
                                   std::span<std::byte> out) {
   check_aligned("read", f.name(), offset, out.size(), out.data());
-  const int fd = handle(f).fd;
+  const int fd = f.fd();
   std::size_t total = 0;
   while (total < out.size()) {
     const ssize_t n = ::pread(fd, out.data() + total, out.size() - total,
@@ -121,7 +94,7 @@ std::size_t NativeDisk::read_once(const File& f, std::uint64_t offset,
 std::size_t NativeDisk::write_once(const File& f, std::uint64_t offset,
                                    std::span<const std::byte> data) {
   check_aligned("write", f.name(), offset, data.size(), data.data());
-  const int fd = handle(f).fd;
+  const int fd = f.fd();
   std::size_t total = 0;
   while (total < data.size()) {
     const ssize_t n = ::pwrite(fd, data.data() + total, data.size() - total,
@@ -138,7 +111,7 @@ std::size_t NativeDisk::write_once(const File& f, std::uint64_t offset,
 
 std::uint64_t NativeDisk::size_once(const File& f) const {
   struct stat st;
-  if (::fstat(handle(f).fd, &st) != 0) {
+  if (::fstat(f.fd(), &st) != 0) {
     throw std::runtime_error("fg::pdm::NativeDisk::size: fstat failed on " +
                              f.name() + errno_suffix());
   }
@@ -146,7 +119,7 @@ std::uint64_t NativeDisk::size_once(const File& f) const {
 }
 
 void NativeDisk::sync_once(const File& f) {
-  if (::fdatasync(handle(f).fd) != 0) {
+  if (::fdatasync(f.fd()) != 0) {
     throw std::runtime_error("fg::pdm::NativeDisk::sync: fdatasync failed on " +
                              f.name() + errno_suffix());
   }

@@ -1,9 +1,10 @@
-// The hardware backend: fd-based positioned pread/pwrite.  No stdio
-// buffering, no spindle mutex — the kernel serializes positioned I/O on
-// one fd, so concurrent stages issue transfers directly and the drive
-// (or page cache) sets the pace.  Optional O_DIRECT bypasses the page
-// cache entirely; it requires 4096-byte-aligned offsets, lengths, and
-// buffers, and the backend rejects misaligned requests up front with
+// The hardware backend: fd-based positioned pread/pwrite, and the only
+// synchronous file path (SpindleDisk and UringDisk build on it).  No
+// spindle mutex — the kernel serializes positioned I/O on one fd, so
+// concurrent stages issue transfers directly and the drive (or page
+// cache) sets the pace.  Optional O_DIRECT bypasses the page cache
+// entirely; it requires 4096-byte-aligned offsets, lengths, and buffers,
+// and the backend rejects misaligned requests up front with
 // std::invalid_argument rather than letting the kernel EINVAL surface as
 // a mystery mid-run.
 #pragma once
@@ -31,10 +32,8 @@ class NativeDisk : public Disk {
   bool direct() const noexcept { return opts_.direct; }
 
  protected:
-  std::unique_ptr<File::Impl> create_once(
-      const std::filesystem::path& path) override;
-  std::unique_ptr<File::Impl> open_once(
-      const std::filesystem::path& path) override;
+  int create_once(const std::filesystem::path& path) override;
+  int open_once(const std::filesystem::path& path) override;
   std::size_t read_once(const File& f, std::uint64_t offset,
                         std::span<std::byte> out) override;
   std::size_t write_once(const File& f, std::uint64_t offset,
@@ -42,18 +41,12 @@ class NativeDisk : public Disk {
   std::uint64_t size_once(const File& f) const override;
   void sync_once(const File& f) override;
 
-  /// The fd behind this backend's File::Impl — for the UringDisk
-  /// subclass, whose submission loop addresses files by fd.
-  static int impl_fd(const File::Impl* impl) noexcept;
   void check_aligned(const char* what, const std::string& name,
                      std::uint64_t offset, std::size_t bytes,
                      const void* buf) const;
 
  private:
-  struct NativeFile;
-  static NativeFile& handle(const File& f);
-  std::unique_ptr<File::Impl> open_path(const std::filesystem::path& path,
-                                        int extra_flags) const;
+  int open_path(const std::filesystem::path& path, int extra_flags) const;
 
   NativeDiskOptions opts_;
 };

@@ -313,7 +313,7 @@ IoHandle UringDisk::submit_op(const File& f, std::uint64_t offset,
   }
   auto* op = new Op;
   op->is_write = is_write;
-  op->fd = impl_fd(impl_of(f));
+  op->fd = f.fd();
   op->name = f.name();
   op->offset = offset;
   op->buf = buf;
@@ -586,26 +586,24 @@ void UringDisk::reaper_loop() {
 
 // -- registered resources ----------------------------------------------------
 
-std::unique_ptr<File::Impl> UringDisk::create_once(
-    const std::filesystem::path& path) {
-  auto impl = NativeDisk::create_once(path);
-  register_file_fd(impl_fd(impl.get()));
-  return impl;
+int UringDisk::create_once(const std::filesystem::path& path) {
+  const int fd = NativeDisk::create_once(path);
+  register_file_fd(fd);
+  return fd;
 }
 
-std::unique_ptr<File::Impl> UringDisk::open_once(
-    const std::filesystem::path& path) {
-  auto impl = NativeDisk::open_once(path);
-  register_file_fd(impl_fd(impl.get()));
-  return impl;
+int UringDisk::open_once(const std::filesystem::path& path) {
+  const int fd = NativeDisk::open_once(path);
+  register_file_fd(fd);
+  return fd;
 }
 
 void UringDisk::closing(const File& f) {
-  unregister_file_fd(impl_fd(impl_of(f)));
+  unregister_file_fd(f.fd());
   NativeDisk::closing(f);
 }
 
-void UringDisk::register_file_fd(int fd) {
+void UringDisk::register_file_fd(int fd) noexcept {
   if (fd < 0) return;
   std::lock_guard<std::mutex> lock(reg_mutex_);
   if (!files_enabled_) return;

@@ -83,10 +83,8 @@ class UringDisk : public NativeDisk {
  protected:
   /// Open hooks also register the new fd into the fixed-file table;
   /// closing() clears its slot before the fd goes away.
-  std::unique_ptr<File::Impl> create_once(
-      const std::filesystem::path& path) override;
-  std::unique_ptr<File::Impl> open_once(
-      const std::filesystem::path& path) override;
+  int create_once(const std::filesystem::path& path) override;
+  int open_once(const std::filesystem::path& path) override;
   void closing(const File& f) override;
 
  private:
@@ -129,7 +127,7 @@ class UringDisk : public NativeDisk {
   Op* next_after(Op* op);
 
   // -- registered resources ----------------------------------------------
-  void register_file_fd(int fd);
+  void register_file_fd(int fd) noexcept;
   void unregister_file_fd(int fd) noexcept;
   /// Registered-buffer slot containing [addr, addr+len), or -1.
   int buffer_slot_for(const void* addr, std::size_t len) const;

@@ -158,73 +158,4 @@ const std::string& JsonWriter::str() const {
   return out_;
 }
 
-// ---------------------------------------------------------------------------
-// TraceLog
-// ---------------------------------------------------------------------------
-
-TraceLog::TraceLog(std::size_t max_entries)
-    : max_entries_(max_entries), origin_(std::chrono::steady_clock::now()) {
-  entries_.reserve(max_entries_ < 1024 ? max_entries_ : 1024);
-}
-
-double TraceLog::now_seconds() const noexcept {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       origin_)
-      .count();
-}
-
-void TraceLog::record(const char* kind, std::uint32_t scope, std::uint32_t aux,
-                      std::uint64_t value) noexcept {
-  // Once the log fills, recording degrades to a lock-free counter bump so
-  // a saturated trace no longer serializes the worker threads it watches.
-  if (full_.load(std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const double t = now_seconds();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (entries_.size() >= max_entries_) {
-    full_.store(true, std::memory_order_relaxed);
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  entries_.push_back(Entry{t, kind, scope, aux, value});
-}
-
-std::vector<TraceLog::Entry> TraceLog::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_;
-}
-
-std::uint64_t TraceLog::dropped() const noexcept {
-  return dropped_.load(std::memory_order_relaxed);
-}
-
-void TraceLog::reset() noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  dropped_.store(0, std::memory_order_relaxed);
-  full_.store(false, std::memory_order_relaxed);
-  origin_ = std::chrono::steady_clock::now();
-}
-
-void TraceLog::write_json(JsonWriter& w) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  w.begin_object();
-  w.key("entries");
-  w.begin_array();
-  for (const Entry& e : entries_) {
-    w.begin_object();
-    w.kv("t", e.t);
-    w.kv("kind", std::string_view(e.kind));
-    w.kv("scope", std::uint64_t{e.scope});
-    w.kv("aux", std::uint64_t{e.aux});
-    w.kv("value", e.value);
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("dropped", dropped_.load(std::memory_order_relaxed));
-  w.end_object();
-}
-
 }  // namespace fg::util

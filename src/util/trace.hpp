@@ -1,19 +1,14 @@
-// Machine-readable run output: a small streaming JSON writer plus a
-// bounded, thread-safe trace log.
+// Machine-readable run output: a small streaming JSON writer.
 //
-// The instrumentation layer (core/events.hpp) turns per-stage hooks into
-// generic trace entries; this file knows nothing about pipelines.  The
-// writer emits canonical JSON (UTF-8 pass-through, escaped control
+// The writer emits canonical JSON (UTF-8 pass-through, escaped control
 // characters, no trailing commas) so that `fgsort --stats-json` and the
 // benches can dump one blob per run that any downstream tool can parse.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace fg::util {
@@ -76,48 +71,6 @@ class JsonWriter {
   std::vector<bool> has_items_;  // parallel to stack_
   bool key_pending_{false};
   bool root_written_{false};
-};
-
-/// Bounded, thread-safe event log.  The runtime appends one entry per
-/// instrumentation hook when tracing is enabled; entries past the bound
-/// are counted but dropped, so tracing a long run cannot exhaust memory.
-class TraceLog {
- public:
-  struct Entry {
-    double t;            ///< seconds since the log was created/reset
-    const char* kind;    ///< static string naming the event
-    std::uint32_t scope; ///< worker or queue index, event-defined
-    std::uint32_t aux;   ///< pipeline id or depth, event-defined
-    std::uint64_t value; ///< event-defined payload
-  };
-
-  explicit TraceLog(std::size_t max_entries = 1u << 16);
-
-  /// Append one entry; `kind` must point at storage that outlives the log
-  /// (string literals, in practice).
-  void record(const char* kind, std::uint32_t scope, std::uint32_t aux,
-              std::uint64_t value) noexcept;
-
-  std::vector<Entry> snapshot() const;
-  std::uint64_t dropped() const noexcept;
-  void reset() noexcept;
-
-  /// Emit the log as `{"entries":[…],"dropped":N}`.  The dropped count
-  /// travels with the data so a consumer can tell a short trace from a
-  /// truncated one.
-  void write_json(JsonWriter& w) const;
-
- private:
-  double now_seconds() const noexcept;
-
-  mutable std::mutex mutex_;      // guards entries_ only
-  std::vector<Entry> entries_;
-  std::size_t max_entries_;
-  // Once the log is full every record() increments this; keeping it
-  // atomic lets full-log recording and dropped() skip the entries mutex.
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<bool> full_{false};
-  std::chrono::steady_clock::time_point origin_;
 };
 
 }  // namespace fg::util

@@ -13,7 +13,6 @@
 #include "pdm/aio.hpp"
 #include "pdm/disk.hpp"
 #include "pdm/native_disk.hpp"
-#include "pdm/stdio_disk.hpp"
 #include "pdm/striping.hpp"
 #include "pdm/uring_disk.hpp"
 #include "pdm/workspace.hpp"
@@ -580,11 +579,11 @@ TEST(DiskLatency, SeekAwareOffByDefault) {
   EXPECT_GE(sw.elapsed_seconds(), 0.018);
 }
 
-// Regression (satellite): contiguity used to be keyed on the raw FILE*
-// address, which the allocator reuses — after dropping one file and
-// creating another, a cold first access could be mischarged as
-// contiguous.  The head is now keyed on a per-open generation id, so a
-// fresh handle always pays the seek, even at the old head offset.
+// Contiguity must not be keyed on a handle the system reuses (an fd
+// number, a FILE* address) — after dropping one file and creating
+// another, a cold first access would be mischarged as contiguous.  The
+// head is keyed on File::open_id, so a fresh handle always pays the
+// seek, even at the old head offset.
 TEST(DiskLatency, SeekAwareColdHandleAlwaysPaysTheSeek) {
   Workspace ws(1, util::LatencyModel::of(10000, 0));
   Disk& d = ws.disk(0);
@@ -592,8 +591,8 @@ TEST(DiskLatency, SeekAwareColdHandleAlwaysPaysTheSeek) {
   {
     File a = d.create("a");
     d.write(a, 0, bytes_of("12345678"));  // head at (a, 8)
-  }  // dropped via destructor: FILE* freed, its address reusable
-  File b = d.create("b");  // fopen may reuse the same FILE* address
+  }  // dropped via destructor: its fd number is free again
+  File b = d.create("b");  // open(2) hands out the lowest free fd: a's
   util::Stopwatch sw;
   d.write(b, 8, bytes_of("x"));  // offset happens to equal the old head
   EXPECT_GE(sw.elapsed_seconds(), 0.009);
@@ -610,6 +609,27 @@ TEST(DiskLatency, SeekAwareCloseReopenPaysTheSeek) {
   util::Stopwatch sw;
   d.write(g, 8, bytes_of("x"));  // continues the *file*, not the *open*
   EXPECT_GE(sw.elapsed_seconds(), 0.009);
+}
+
+// The spindle is one arm: two threads' operations on one disk queue
+// behind each other instead of overlapping.
+TEST(DiskLatency, SpindleServesOneOperationAtATime) {
+  Workspace ws(1, util::LatencyModel::of(10000, 0));  // 10 ms per op
+  Disk& d = ws.disk(0);
+  File f = d.create("arm");
+  util::Stopwatch sw;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&d, &f, t] {
+      for (int i = 0; i < 4; ++i) {
+        d.write(f, static_cast<std::uint64_t>(t * 4 + i), bytes_of("x"));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  // 8 ops × 10 ms in series; two overlapping threads would take ~40 ms.
+  EXPECT_GE(sw.elapsed_seconds(), 0.080);
+  EXPECT_GE(util::to_seconds(d.stats().busy), 0.080);
 }
 
 // -- native backend: O_DIRECT -------------------------------------------------

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -268,21 +267,6 @@ TEST(Rerun, CustomStageGraphReruns) {
   EXPECT_EQ(got.load(), 12);
 }
 
-TEST(Rerun, RerunWithEventSinkSeesFreshRun) {
-  PipelineGraph g;
-  auto& p = g.add_pipeline(small_config("p", 5));
-  MapStage s("s", [](Buffer&) { return StageAction::kConvey; });
-  p.add_stage(s);
-  TracingEventSink sink;
-  g.set_event_sink(&sink);
-  g.run();
-  const std::size_t first = sink.log().snapshot().size();
-  EXPECT_GT(first, 0u);
-  sink.log().reset();
-  g.run();
-  EXPECT_EQ(sink.log().snapshot().size(), first);
-}
-
 // ---------------------------------------------------------------------------
 // Abort path
 // ---------------------------------------------------------------------------
@@ -362,35 +346,6 @@ TEST(Abort, GraphIsRerunnableAfterAbort) {
 // Instrumentation
 // ---------------------------------------------------------------------------
 
-TEST(Events, SinkSeesLifecycleEvents) {
-  PipelineGraph g;
-  auto& p = g.add_pipeline(small_config("p", 8));
-  MapStage s("s", [](Buffer& b) {
-    return b.round() % 2 ? StageAction::kRecycle : StageAction::kConvey;
-  });
-  p.add_stage(s);
-  TracingEventSink sink;
-  g.set_event_sink(&sink);
-  g.run();
-
-  std::set<std::string> kinds;
-  std::uint64_t accepted = 0, conveyed = 0, recycled = 0;
-  for (const auto& e : sink.log().snapshot()) {
-    kinds.insert(e.kind);
-    if (std::string(e.kind) == "accept") ++accepted;
-    if (std::string(e.kind) == "convey") ++conveyed;
-    if (std::string(e.kind) == "recycle") ++recycled;
-  }
-  EXPECT_TRUE(kinds.count("accept"));
-  EXPECT_TRUE(kinds.count("convey"));
-  EXPECT_TRUE(kinds.count("recycle"));
-  EXPECT_TRUE(kinds.count("caboose"));
-  EXPECT_TRUE(kinds.count("qpush"));
-  EXPECT_EQ(accepted, 8u);       // map stage saw every round
-  EXPECT_GE(conveyed, 8u + 4u);  // source emissions + conveyed halves
-  EXPECT_GE(recycled, 4u);       // the recycled halves
-}
-
 TEST(Events, QueueStatsBalanceOnCleanRun) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 10));
@@ -458,25 +413,6 @@ TEST(Json, WriterRejectsMisuse) {
   EXPECT_THROW(w.value(1), std::logic_error);  // value without key
   EXPECT_THROW(w.end_array(), std::logic_error);
   EXPECT_THROW(w.str(), std::logic_error);  // incomplete
-}
-
-TEST(Json, TraceLogExportsEntries) {
-  util::TraceLog log(4);
-  log.record("a", 1, 2, 3);
-  log.record("b", 4, 5, 6);
-  EXPECT_EQ(log.snapshot().size(), 2u);
-  log.record("c", 0, 0, 0);
-  log.record("d", 0, 0, 0);
-  log.record("e", 0, 0, 0);  // over the bound: dropped
-  EXPECT_EQ(log.snapshot().size(), 4u);
-  EXPECT_EQ(log.dropped(), 1u);
-  util::JsonWriter w;
-  log.write_json(w);
-  // The log exports as {"entries":[...],"dropped":N} so the dropped count
-  // travels with the data.
-  EXPECT_NE(w.str().find("\"entries\":["), std::string::npos);
-  EXPECT_NE(w.str().find("\"kind\":\"a\""), std::string::npos);
-  EXPECT_NE(w.str().find("\"dropped\":1"), std::string::npos);
 }
 
 }  // namespace

@@ -65,6 +65,14 @@ TEST(FgsortCli, GarbageWatchdogRejected) {
                          "--watchdog-ms", "5s");
 }
 
+TEST(FgsortCli, UnknownLatencyRejected) {
+  // Any value other than "paper" used to run silently as latency none.
+  expect_flag_diagnostic(run(g_fgsort +
+                             " --program dsort --nodes 2 --records 4096"
+                             " --latency bogus"),
+                         2, "--latency", "bogus");
+}
+
 TEST(FgsortCli, UnknownDiskBackendRejected) {
   const RunResult r = run(g_fgsort + " --disk floppy");
   EXPECT_EQ(r.exit_code, 2) << r.output;

@@ -1,8 +1,8 @@
 #!/bin/sh
-# CI entry point: build and test the library in a Release configuration
-# and under ThreadSanitizer.  The pipeline runtime is all threads and
-# queues, so a TSan pass is the cheapest way to keep the worker loops
-# honest; run it on every change to src/core.
+# CI entry point: build and test the library in a Release configuration,
+# under ThreadSanitizer, and under AddressSanitizer+UBSan.  The pipeline
+# runtime is all threads and queues, so a TSan pass is the cheapest way
+# to keep the worker loops honest; run it on every change to src/core.
 #
 #   tools/ci.sh [JOBS]
 set -eu
@@ -24,6 +24,12 @@ run_config() {
 
 run_config release -DCMAKE_BUILD_TYPE=Release -DFG_WERROR=ON
 run_config tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFG_SANITIZE=thread
+# UBSan only prints a report by default and the test still passes; halt
+# on the first one so undefined behaviour fails the configuration.
+(
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+  run_config asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFG_SANITIZE=address
+)
 
 # Two-executor conformance: the whole tier-1 suite must pass with the
 # task executor (work-stealing pool) substituted for thread-per-stage.
@@ -198,8 +204,9 @@ fi
 rm -rf "$shm_dir"
 rm -rf "$tcp_dir"
 
-# Native disk backend gate: the same seeded dsort through the stdio and
-# the pread/pwrite backends must produce byte-identical output stripes.
+# Native disk backend gate: the same seeded dsort through the stdio
+# backend (the simulated spindle) and the plain native backend must
+# produce byte-identical output stripes.
 # The native run is traced, its blobs must pass the structural check,
 # and the report/stats must record which backend produced them (so a
 # BENCH artifact can never silently change substrate).

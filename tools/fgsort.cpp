@@ -47,11 +47,12 @@
 //                                        the blocking queue everywhere)
 //     --disk stdio|native|uring         (disk backend; default stdio.
 //                                        stdio simulates the paper's
-//                                        spindles — buffered FILE*, one
-//                                        op at a time, modeled latency.
-//                                        native is fd-based pread/pwrite
-//                                        at hardware speed; --latency
-//                                        does not shape it.  uring is
+//                                        spindles — native's pread/
+//                                        pwrite, one op at a time per
+//                                        disk, modeled latency.  native
+//                                        runs at hardware speed;
+//                                        --latency does not shape it.
+//                                        uring is
 //                                        native files with the async
 //                                        path on io_uring; falls back
 //                                        to native, with a warning,
@@ -82,7 +83,7 @@
 // final barrier, other ranks report "skip".  --latency only shapes disk
 // charging in tcp/shm mode: the transport is real, not simulated.
 #include "comm/cluster.hpp"
-#include "core/events.hpp"
+#include "core/graph.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/session.hpp"
 #include "pdm/uring_disk.hpp"
@@ -181,7 +182,15 @@ Options parse(int argc, char** argv) try {
     else if (a == "--record-bytes") opt.cfg.record_bytes = static_cast<std::uint32_t>(util::parse_int(need(i), "--record-bytes", 1, 1 << 20));
     else if (a == "--dist") opt.cfg.dist = parse_dist(need(i));
     else if (a == "--seed") opt.cfg.seed = util::parse_u64(need(i), "--seed");
-    else if (a == "--latency") opt.paper_latency = need(i) == "paper";
+    else if (a == "--latency") {
+      const std::string v = need(i);
+      if (v == "paper") opt.paper_latency = true;
+      else if (v == "none") opt.paper_latency = false;
+      else {
+        std::fprintf(stderr, "fgsort: unknown latency '%s' for --latency (want paper|none)\n", v.c_str());
+        std::exit(2);
+      }
+    }
     else if (a == "--seek-aware") opt.seek_aware = true;
     else if (a == "--stats") opt.stats = true;
     else if (a == "--stats-json") opt.stats_json = need(i);
