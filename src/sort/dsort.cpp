@@ -256,18 +256,20 @@ SortResult run_dsort(comm::Cluster& cluster, pdm::Workspace& ws,
       sp.add_stage(send);
 
       // --- receive pipeline: receive -> sort -> write --------------------
+      // The last message received, pending[pending_off, pending_len) still
+      // to hand on; the next message lands in place once it is used up.
       int dones = 0;
-      std::vector<std::byte> pending;
+      std::vector<std::byte> pending(cfg.buffer_records * rec);
+      std::size_t pending_len = 0;
       std::size_t pending_off = 0;
-      std::vector<std::byte> tmp(cfg.buffer_records * rec);
       MapStage receive("receive", [&, me](Buffer& b) {
         const std::size_t cap = b.capacity();
         std::size_t fill = 0;
         auto out = b.data();
         for (;;) {
-          if (pending_off < pending.size()) {
+          if (pending_off < pending_len) {
             const std::size_t take =
-                std::min(pending.size() - pending_off, cap - fill);
+                std::min(pending_len - pending_off, cap - fill);
             std::memcpy(out.data() + fill, pending.data() + pending_off, take);
             fill += take;
             pending_off += take;
@@ -276,17 +278,16 @@ SortResult run_dsort(comm::Cluster& cluster, pdm::Workspace& ws,
           }
           if (dones == p) break;
           const comm::RecvResult rr =
-              fabric.recv(me, comm::kAnySource, comm::kAnyTag, tmp);
+              fabric.recv(me, comm::kAnySource, comm::kAnyTag, pending);
           if (rr.tag == kTagDone) {
             ++dones;
             continue;
           }
-          pending.assign(tmp.begin(),
-                         tmp.begin() + static_cast<std::ptrdiff_t>(rr.bytes));
+          pending_len = rr.bytes;
           pending_off = 0;
         }
         b.set_size(fill);
-        const bool finished = dones == p && pending_off >= pending.size();
+        const bool finished = dones == p && pending_off >= pending_len;
         if (finished) {
           return fill > 0 ? StageAction::kConveyAndClose
                           : StageAction::kRecycleAndClose;

@@ -1,9 +1,12 @@
 #include "sort/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace fg::sort {
 
@@ -31,23 +34,66 @@ void check_args(std::size_t bytes, std::uint32_t rec_bytes) {
   }
 }
 
+/// Buckets this small finish with a comparison sort.
+constexpr std::size_t kSmallBucket = 64;
+
+/// MSD radix sort of a[0, n) by the 64-bit key(x), splitting on key byte
+/// `byte` (7 is the top) and then the bytes below it.  A byte every item
+/// shares is skipped without moving data.  Buckets of at most
+/// kSmallBucket items, and items whose whole key is equal, finish with
+/// std::sort under `less`, which must order by key first; so the result
+/// is what std::sort under `less` gives.  `tmp` holds at least n items.
+template <class T, class Key, class Less>
+void msd_radix(T* a, T* tmp, std::size_t n, int byte, Key key, Less less) {
+  if (n <= kSmallBucket) {
+    std::sort(a, a + n, less);
+    return;
+  }
+  int shift = 0;
+  auto digit = [&](const T& x) { return (key(x) >> shift) & 0xff; };
+  std::array<std::size_t, 256> count{};
+  for (; byte >= 0; --byte) {
+    shift = 8 * byte;
+    for (std::size_t i = 0; i < n; ++i) ++count[digit(a[i])];
+    if (count[digit(a[0])] != n) break;
+    count[digit(a[0])] = 0;  // every item shares this byte: nothing moves
+  }
+  if (byte < 0) {
+    std::sort(a, a + n, less);
+    return;
+  }
+  // Scatter by this byte; count[b] becomes the end of bucket b.
+  std::size_t at = 0;
+  for (std::size_t& c : count) at += std::exchange(c, at);
+  for (std::size_t i = 0; i < n; ++i) tmp[count[digit(a[i])]++] = a[i];
+  std::copy(tmp, tmp + n, a);
+  std::size_t begin = 0;
+  for (const std::size_t end : count) {
+    if (end - begin > 1) {
+      msd_radix(a + begin, tmp + begin, end - begin, byte - 1, key, less);
+    }
+    begin = end;
+  }
+}
+
 }  // namespace
 
 void sort_records(std::span<std::byte> data, std::uint32_t rec_bytes,
                   std::span<std::byte> scratch) {
   check_args(data.size(), rec_bytes);
+  if (scratch.size() < data.size()) {
+    throw std::invalid_argument("fg::sort::sort_records: scratch too small");
+  }
   const std::size_t n = data.size() / rec_bytes;
   if (n <= 1) return;
 
   if (rec_bytes == sizeof(Rec16)) {
-    auto* recs = reinterpret_cast<Rec16*>(data.data());
-    std::sort(recs, recs + n);
+    msd_radix(reinterpret_cast<Rec16*>(data.data()),
+              reinterpret_cast<Rec16*>(scratch.data()), n, 7,
+              [](const Rec16& r) { return r.key; }, std::less<Rec16>{});
     return;
   }
 
-  if (scratch.size() < data.size()) {
-    throw std::invalid_argument("fg::sort::sort_records: scratch too small");
-  }
   // Key-index sort, then one gather pass: wide records move exactly once.
   struct KeyIdx {
     ExtKey key;
@@ -58,7 +104,9 @@ void sort_records(std::span<std::byte> data, std::uint32_t rec_bytes,
     order[i] = {ext_key_of(data.data() + i * rec_bytes),
                 static_cast<std::uint32_t>(i)};
   }
-  std::sort(order.begin(), order.end(),
+  std::vector<KeyIdx> tmp(n);
+  msd_radix(order.data(), tmp.data(), n, 7,
+            [](const KeyIdx& k) { return k.key.key; },
             [](const KeyIdx& a, const KeyIdx& b) { return a.key < b.key; });
   for (std::size_t i = 0; i < n; ++i) {
     std::memcpy(scratch.data() + i * rec_bytes,

@@ -15,10 +15,16 @@
 
 namespace fg::sort {
 
-/// Sort `n = data.size()/rec_bytes` records in place by sort key (ties
-/// broken by extended key so the result is deterministic).  `scratch`
-/// must be at least data.size() bytes; it is used to gather records after
-/// a key-index sort, which avoids moving wide records O(n log n) times.
+/// Sort `n = data.size()/rec_bytes` records in place by extended key (the
+/// sort key, ties broken by mix64 of the uid, so the result is
+/// deterministic).  An MSD radix sort on the key's bytes, top byte first:
+/// a byte every record shares is skipped without moving data, and buckets
+/// of at most 64 records, and records with equal keys, finish with
+/// std::sort.  16-byte records are sorted directly; wider ones as
+/// (extended key, index) pairs and then gathered, so each moves once.
+/// `scratch` must be at least data.size() bytes for every record size
+/// (throws std::invalid_argument otherwise): it is the radix sort's
+/// scatter target for 16-byte records and the gather target for wider ones.
 void sort_records(std::span<std::byte> data, std::uint32_t rec_bytes,
                   std::span<std::byte> scratch);
 

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -78,7 +80,14 @@ TEST_P(KernelsParam, SortPreservesRecordsIntact) {
 
 // -- k-way merge against the sort_records oracle ---------------------------
 
-enum class KeyMix { kUniform, kAllEqual, kSmallRange, kMaxHeavy };
+enum class KeyMix {
+  kUniform,
+  kAllEqual,
+  kSmallRange,
+  kMaxHeavy,
+  kMiddleByte,  // only key byte 3 varies
+  kZeroBytes,   // every other key byte is zero
+};
 
 std::uint64_t draw_key(KeyMix mix, util::Xoshiro256& rng) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
@@ -88,6 +97,8 @@ std::uint64_t draw_key(KeyMix mix, util::Xoshiro256& rng) {
     case KeyMix::kSmallRange: return rng.below(4);
     case KeyMix::kMaxHeavy:
       return rng.below(2) == 0 ? kMax : kMax - rng.below(3);
+    case KeyMix::kMiddleByte: return 0xabcd000000000000 | rng.below(256) << 24;
+    case KeyMix::kZeroBytes: return rng.next() & 0xff00ff00ff00ff00;
   }
   return 0;
 }
@@ -189,6 +200,47 @@ TEST_P(KernelsParam, MergeRecordsIsTwoRunMultiwayMerge) {
   }
 }
 
+// -- sort_records against a std::sort reference ----------------------------
+
+/// Indices std::sorted by extended key, then gathered: what sort_records
+/// must produce byte for byte.
+std::vector<std::byte> std_sort_reference(std::span<const std::byte> data,
+                                          std::uint32_t rec) {
+  const std::size_t n = data.size() / rec;
+  std::vector<std::size_t> idx(n);
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return ext_key_of(data.data() + a * rec) <
+           ext_key_of(data.data() + b * rec);
+  });
+  std::vector<std::byte> out(data.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    std::memcpy(out.data() + i * rec, data.data() + idx[i] * rec, rec);
+  }
+  return out;
+}
+
+TEST_P(KernelsParam, SortMatchesStdSortReference) {
+  const std::uint32_t rec = GetParam();
+  // Both sides of the small-bucket cutoff, and sizes that split twice.
+  for (const std::size_t n :
+       {0u, 1u, 2u, 63u, 64u, 65u, 300u, 4096u, 16384u, 70000u}) {
+    for (const KeyMix mix :
+         {KeyMix::kUniform, KeyMix::kAllEqual, KeyMix::kSmallRange,
+          KeyMix::kMaxHeavy, KeyMix::kMiddleByte, KeyMix::kZeroBytes}) {
+      const int m = static_cast<int>(mix);
+      util::Xoshiro256 rng(1000 * n + m);
+      std::vector<std::uint64_t> keys(n);
+      for (auto& k : keys) k = draw_key(mix, rng);
+      auto data = make_records(keys, rec);
+      const auto expected = std_sort_reference(data, rec);
+      std::vector<std::byte> scratch(data.size());
+      sort_records(data, rec, scratch);
+      EXPECT_EQ(data, expected) << "n=" << n << " mix=" << m;
+    }
+  }
+}
+
 TEST(Kernels, MultiwayMergeOfNoRunsIsDone) {
   MultiwayMerger m(0, 16);
   EXPECT_TRUE(m.done());
@@ -246,6 +298,8 @@ TEST(Kernels, SortRejectsBadArguments) {
   std::vector<std::byte> wide(64 * 4);
   std::vector<std::byte> small_scratch(16);
   EXPECT_THROW(sort_records(wide, 64, small_scratch), std::invalid_argument);
+  std::vector<std::byte> narrow(16 * 4);
+  EXPECT_THROW(sort_records(narrow, 16, small_scratch), std::invalid_argument);
 }
 
 TEST(Kernels, PartitionOfRespectsBounds) {

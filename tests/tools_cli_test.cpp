@@ -96,6 +96,17 @@ TEST(FgsortCli, TinyNativeRunSucceeds) {
   EXPECT_NE(r.output.find("disk=native"), std::string::npos) << r.output;
 }
 
+TEST(FgsortCli, RunFailureExitsThree) {
+  // An injected node crash used to escape main and end in std::terminate.
+  const RunResult r = run(g_fgsort +
+                          " --program dsort --nodes 4 --records 65536"
+                          " --latency none"
+                          " --fault-spec 'fabric.crash=once:25@3'");
+  EXPECT_EQ(r.exit_code, 3) << r.output;
+  EXPECT_NE(r.output.find("fgsort: dsort failed: "), std::string::npos)
+      << r.output;
+}
+
 TEST(FgnodeCli, GarbageNodesNamesTheFlag) {
   expect_flag_diagnostic(run(g_fgnode + " --nodes banana -- true"), 2,
                          "--nodes", "banana");

@@ -82,6 +82,14 @@
 // its own input stripe; rank 0 verifies the combined output after the
 // final barrier, other ranks report "skip".  --latency only shapes disk
 // charging in tcp/shm mode: the transport is real, not simulated.
+//
+// Exit status:
+//   0  every run finished and every verified output is correct
+//   1  an output failed verification, or --stats-json/--trace-out could
+//      not be written
+//   2  usage: an unknown flag or a malformed value
+//   3  a run failed (an injected fault, a stall, a dead peer); stderr
+//      says "fgsort: <program> failed: <cause>"
 #include "comm/cluster.hpp"
 #include "core/graph.hpp"
 #include "obs/chrome_trace.hpp"
@@ -99,6 +107,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -695,7 +704,12 @@ int main(int argc, char** argv) {
   std::vector<RunReport> reports;
   for (const char* p : {"dsort", "csort", "ssort"}) {
     if (opt.program == "all" || opt.program == p) {
-      reports.push_back(run_one(p, opt));
+      try {
+        reports.push_back(run_one(p, opt));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "fgsort: %s failed: %s\n", p, e.what());
+        return 3;
+      }
     }
   }
 
