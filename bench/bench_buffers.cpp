@@ -126,10 +126,6 @@ int run_gate(const std::string& path) {
   fg::util::JsonWriter w;
   w.begin_object();
   w.kv("bench", "queue_hop");
-  // The hop is measured on a dedicated producer/consumer thread pair —
-  // the channel layer under the thread-per-stage executor; the task
-  // executor uses the same channels through try_push/try_pop.
-  w.kv("executor", "threads");
   w.kv("tokens", kTokens);
   w.kv("trials", kTrials);
   w.key("channels");

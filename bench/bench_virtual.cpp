@@ -4,12 +4,7 @@
 // node run hundreds of vertical pipelines ("most current systems cannot
 // handle hundreds of threads").
 //
-// A third variant runs the same k pipelines on the task executor: every
-// stage is a resumable task on a fixed worker pool, so the OS thread
-// count stays constant no matter how many pipelines the graph holds —
-// 1024 ordinary (non-virtual) pipelines on a handful of threads.
-//
-// Reports thread counts and wall times.  The non-virtual thread-backend
+// Reports thread counts and wall times.  The one-thread-per-stage
 // variant is capped at 128 pipelines to stay friendly to small machines —
 // which is itself the point being demonstrated.
 #include "core/fg.hpp"
@@ -20,7 +15,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,47 +23,20 @@ namespace {
 
 using namespace fg;
 
-enum class Variant { kVirtual, kThreadPerStage, kTaskPool };
-
-constexpr std::size_t kPoolWorkers = 4;
-
 struct Outcome {
   double seconds;
-  std::size_t planned_threads;  ///< thread-per-stage plan view
-  std::size_t os_threads;       ///< peak /proc/self/status Threads: seen mid-run
+  std::size_t planned_threads;
 };
 
-std::size_t os_threads_now() {
-  std::ifstream f("/proc/self/status");
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.rfind("Threads:", 0) == 0)
-      return static_cast<std::size_t>(std::stoul(line.substr(8)));
-  }
-  return 0;
-}
-
-Outcome run_k_pipelines(int k, Variant variant, std::uint64_t rounds) {
+Outcome run_k_pipelines(int k, bool virtual_stages, std::uint64_t rounds) {
   PipelineGraph graph;
   std::atomic<std::uint64_t> work{0};
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::size_t> peak_threads{0};
   auto fn = [&](Buffer& b) {
     // A little real work per buffer so the bench measures scheduling, not
     // nothing.
     std::uint64_t h = b.round() + b.pipeline();
     for (int i = 0; i < 64; ++i) h = h * 2654435761ULL + 1;
     work += h & 1;
-    // Sample the process thread count occasionally, mid-stream, so the
-    // number reflects the run and not setup/teardown.
-    if ((calls.fetch_add(1, std::memory_order_relaxed) & 1023) == 0) {
-      const std::size_t now = os_threads_now();
-      std::size_t prev = peak_threads.load(std::memory_order_relaxed);
-      while (now > prev &&
-             !peak_threads.compare_exchange_weak(prev, now,
-                                                 std::memory_order_relaxed)) {
-      }
-    }
     return StageAction::kConvey;
   };
   MapStage shared_a("a", fn), shared_b("b", fn);
@@ -81,7 +48,7 @@ Outcome run_k_pipelines(int k, Variant variant, std::uint64_t rounds) {
     pc.buffer_bytes = 1024;
     pc.rounds = rounds;
     Pipeline& p = graph.add_pipeline(pc);
-    if (variant == Variant::kVirtual) {
+    if (virtual_stages) {
       p.add_stage(shared_a, StageMode::kVirtual);
       p.add_stage(shared_b, StageMode::kVirtual);
     } else {
@@ -91,26 +58,18 @@ Outcome run_k_pipelines(int k, Variant variant, std::uint64_t rounds) {
       p.add_stage(*owned.back());
     }
   }
-  if (variant == Variant::kTaskPool) {
-    RuntimeOptions opt;
-    opt.executor = ExecutorKind::kTasks;
-    opt.task_workers = kPoolWorkers;
-    graph.set_runtime_options(opt);
-  }
   const std::size_t planned = graph.planned_threads();
   util::Stopwatch wall;
   graph.run();
-  return {wall.elapsed_seconds(), planned,
-          peak_threads.load(std::memory_order_relaxed)};
+  return {wall.elapsed_seconds(), planned};
 }
 
-void BM_Virtual(benchmark::State& state, Variant variant) {
+void BM_Virtual(benchmark::State& state, bool virtual_stages) {
   const int k = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const Outcome o = run_k_pipelines(k, variant, 32);
+    const Outcome o = run_k_pipelines(k, virtual_stages, 32);
     state.SetIterationTime(o.seconds);
     state.counters["planned_threads"] = static_cast<double>(o.planned_threads);
-    state.counters["os_threads"] = static_cast<double>(o.os_threads);
   }
 }
 
@@ -119,19 +78,17 @@ void BM_Virtual(benchmark::State& state, Variant variant) {
 int main(int argc, char** argv) {
   struct Entry {
     const char* name;
-    Variant variant;
+    bool virtual_stages;
   };
-  for (const Entry& e :
-       {Entry{"virtual/shared_threads", Variant::kVirtual},
-        Entry{"virtual/one_thread_per_stage", Variant::kThreadPerStage},
-        Entry{"virtual/task_pool", Variant::kTaskPool}}) {
+  for (const Entry& e : {Entry{"virtual/shared_threads", true},
+                         Entry{"virtual/one_thread_per_stage", false}}) {
     auto* b = benchmark::RegisterBenchmark(
-        e.name, [v = e.variant](benchmark::State& s) { BM_Virtual(s, v); });
+        e.name,
+        [v = e.virtual_stages](benchmark::State& s) { BM_Virtual(s, v); });
     b->ArgName("pipelines");
     for (const int k : {8, 32, 128}) b->Arg(k);
-    // Beyond a thread per stage: only feasible with virtual stages or the
-    // fixed-pool task executor.
-    if (e.variant != Variant::kThreadPerStage) {
+    // Beyond a thread per stage: only feasible with virtual stages.
+    if (e.virtual_stages) {
       b->Arg(512);
       b->Arg(1024);
     }
@@ -142,30 +99,21 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   fg::util::TextTable t;
-  t.header({"pipelines", "virtual thr", "virtual s", "normal thr", "normal s",
-            "task-pool thr", "task-pool s"});
+  t.header({"pipelines", "virtual thr", "virtual s", "normal thr", "normal s"});
   for (const int k : {8, 32, 128, 512, 1024}) {
-    const Outcome vo = run_k_pipelines(k, Variant::kVirtual, 32);
-    const Outcome to = run_k_pipelines(k, Variant::kTaskPool, 32);
+    const Outcome vo = run_k_pipelines(k, true, 32);
     std::string nt = "-", ns = "-";
     if (k <= 128) {
-      const Outcome no = run_k_pipelines(k, Variant::kThreadPerStage, 32);
+      const Outcome no = run_k_pipelines(k, false, 32);
       nt = std::to_string(no.planned_threads);
       ns = fg::util::fmt_seconds(no.seconds);
     }
     t.row({std::to_string(k), std::to_string(vo.planned_threads),
-           fg::util::fmt_seconds(vo.seconds),
-           nt, ns,
-           std::to_string(to.os_threads),
-           fg::util::fmt_seconds(to.seconds)});
+           fg::util::fmt_seconds(vo.seconds), nt, ns});
   }
   std::printf("\nVirtual stages keep the thread count constant as pipeline "
-              "counts grow; the\ntask executor does the same for ordinary "
-              "pipelines by running every stage as\na resumable task on a "
-              "fixed %zu-worker pool (task-pool thr = peak OS threads\n"
-              "observed mid-run, including main).  The normal variant is "
-              "omitted beyond 128\npipelines — that is the point.\n",
-              kPoolWorkers);
+              "counts grow.  The\nnormal variant is omitted beyond 128 "
+              "pipelines — that is the point.\n");
   std::fputs(t.render().c_str(), stdout);
   return 0;
 }

@@ -23,7 +23,7 @@
 #pragma once
 
 #include "comm/cluster.hpp"
-#include "core/executor.hpp"
+#include "core/runtime.hpp"
 #include "pdm/striping.hpp"
 #include "pdm/workspace.hpp"
 
@@ -46,7 +46,7 @@ struct PermuteConfig {
   std::string input_name{"input"};
   std::string output_name{"permuted"};
 
-  /// Executor/channel selection (and fgserve's per-job pool budget)
+  /// Channel selection (and fgserve's per-job pool budget)
   /// applied to every node's pipeline graph, exactly as
   /// SortConfig::runtime does for the sorting programs.
   RuntimeOptions runtime{};

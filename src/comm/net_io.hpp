@@ -4,7 +4,7 @@
 // second syscall per frame and lets the kernel coalesce them arbitrarily.
 // write_full_vec() gathers header + payload into one EINTR-safe sendmsg,
 // which is where the receive-occupancy budget of a dsort's exchange phase
-// goes (BENCH_sort.json).
+// goes (the tcp section of tools/ci.sh's BENCH_sort.json).
 //
 // read_full() is the matching exact-read loop, with one deliberate design
 // point: a stream that ends cleanly *between* frames is a different event

@@ -4,8 +4,8 @@
 //
 // A stage conveys a buffer by pushing into the channel to its successor
 // and accepts by popping the channel from its predecessor; an empty pop
-// blocks (or, under the task executor, suspends the stage's task), which
-// is what lets other stages overlap work with high-latency operations.
+// blocks the stage's thread, which is what lets other stages overlap
+// work with high-latency operations.
 //
 // Channels carry *tokens*, not raw buffers, because the termination
 // protocol needs two control messages besides data:
@@ -87,9 +87,6 @@ struct QueueStats {
   ChannelKind kind{ChannelKind::kMpmc};  ///< which implementation ran it
 };
 
-/// Result of a non-blocking push attempt.
-enum class PushResult : std::uint8_t { kAccepted, kFull, kAborted };
-
 /// Abstract stage-to-stage token conduit.  All implementations share the
 /// blocking contract of the original BufferQueue:
 ///   * push() blocks while full, returns false — token *dropped* — once
@@ -111,15 +108,8 @@ class Channel {
   /// no extra acquisition.
   virtual bool push(Token t, std::size_t* depth_after = nullptr) = 0;
 
-  /// Non-blocking push; the task executor re-enqueues the stage instead
-  /// of sleeping when this returns kFull.
-  virtual PushResult try_push(Token t, std::size_t* depth_after = nullptr) = 0;
-
   /// Blocking pop; returns an abort token once the channel is aborted.
   virtual Token pop(std::size_t* depth_after = nullptr) = 0;
-
-  /// Non-blocking pop; false if empty (or an abort token if aborted).
-  virtual bool try_pop(Token& out) = 0;
 
   /// Unconditionally enqueue `t`, ignoring capacity and abort state.
   /// Never blocks.  The runtime uses this during teardown to park
@@ -154,8 +144,8 @@ class Channel {
 
 /// Bounded wait-free SPSC ring (the FastFlow-style stage hop).
 ///
-/// Exactly one producer worker may push/try_push and exactly one consumer
-/// worker may pop/try_pop — the plan layer proves this before selecting
+/// Exactly one producer worker may push and exactly one consumer worker
+/// may pop — the plan layer proves this before selecting
 /// the channel.  The hot path is two atomic word accesses per operation:
 /// head/tail live on separate cache lines, and each side keeps a cached
 /// copy of the opposite index so an uncontended push or pop reads only
@@ -197,7 +187,7 @@ class SpscChannel final : public Channel {
 
   bool push(Token t, std::size_t* depth_after = nullptr) override {
     for (;;) {
-      PushResult r = try_push(t, depth_after);
+      PushResult r = push_once(t, depth_after);
       if (r == PushResult::kAccepted) return true;
       if (r == PushResult::kAborted) return false;
       // Full edge.  Spin first (skipped on single-core machines): a
@@ -206,7 +196,7 @@ class SpscChannel final : public Channel {
       // notifies a registered sleeper).
       for (int i = spin_iters(); i > 0; --i) {
         spin_pause();
-        r = try_push(t, depth_after);
+        r = push_once(t, depth_after);
         if (r == PushResult::kAccepted) return true;
         if (r == PushResult::kAborted) return false;
       }
@@ -226,40 +216,6 @@ class SpscChannel final : public Channel {
       full_waiters_.store(0, std::memory_order_release);
       if (aborted_.load(std::memory_order_acquire)) return false;
     }
-  }
-
-  PushResult try_push(Token t, std::size_t* depth_after = nullptr) override {
-    if (aborted_.load(std::memory_order_acquire))
-      return PushResult::kAborted;
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ >= limit_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ >= limit_) return PushResult::kFull;
-    }
-    ring_[tail & mask_] = t;
-    tail_.store(tail + 1, std::memory_order_release);
-    // Single-writer counter: a plain store avoids a locked RMW per push.
-    pushes_.store(pushes_.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    // Empty-edge wakeup.  The seq_cst fence pairs with the consumer's
-    // sleeper registration in pop(): either we see it registered (and
-    // notify), or its post-registration tail load sees this push (and it
-    // does not sleep) — the classic store/load race is excluded.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t depth = static_cast<std::size_t>(tail + 1 - head);
-    if (depth > peak_.load(std::memory_order_relaxed))
-      peak_.store(depth, std::memory_order_relaxed);
-    if (depth_after != nullptr) *depth_after = depth;
-    // Claiming the flag with exchange makes the wakeup once-per-sleep:
-    // a woken consumer that has not been scheduled yet (single-core
-    // machines) does not cost a futex syscall on every further push.
-    if (empty_waiters_.load(std::memory_order_relaxed) != 0 &&
-        empty_waiters_.exchange(0, std::memory_order_seq_cst) != 0) {
-      nonempty_ver_.fetch_add(1, std::memory_order_seq_cst);
-      nonempty_ver_.notify_one();
-    }
-    return PushResult::kAccepted;
   }
 
   Token pop(std::size_t* depth_after = nullptr) override {
@@ -285,14 +241,6 @@ class SpscChannel final : public Channel {
       }
       empty_waiters_.store(0, std::memory_order_release);
     }
-  }
-
-  bool try_pop(Token& out) override {
-    if (aborted_.load(std::memory_order_acquire)) {
-      out = Token::abort();
-      return true;
-    }
-    return try_pop_ring(out, nullptr);
   }
 
   void force_push(Token t) override {
@@ -359,6 +307,43 @@ class SpscChannel final : public Channel {
   std::size_t ring_limit() const noexcept { return limit_; }
 
  private:
+  enum class PushResult : std::uint8_t { kAccepted, kFull, kAborted };
+
+  /// One push attempt: kFull instead of waiting on the full edge.
+  PushResult push_once(Token t, std::size_t* depth_after) {
+    if (aborted_.load(std::memory_order_acquire))
+      return PushResult::kAborted;
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    if (tail - cached_head_ >= limit_) {
+      cached_head_ = head_.load(std::memory_order_acquire);
+      if (tail - cached_head_ >= limit_) return PushResult::kFull;
+    }
+    ring_[tail & mask_] = t;
+    tail_.store(tail + 1, std::memory_order_release);
+    // Single-writer counter: a plain store avoids a locked RMW per push.
+    pushes_.store(pushes_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+    // Empty-edge wakeup.  The seq_cst fence pairs with the consumer's
+    // sleeper registration in pop(): either we see it registered (and
+    // notify), or its post-registration tail load sees this push (and it
+    // does not sleep) — the classic store/load race is excluded.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    const std::size_t depth = static_cast<std::size_t>(tail + 1 - head);
+    if (depth > peak_.load(std::memory_order_relaxed))
+      peak_.store(depth, std::memory_order_relaxed);
+    if (depth_after != nullptr) *depth_after = depth;
+    // Claiming the flag with exchange makes the wakeup once-per-sleep:
+    // a woken consumer that has not been scheduled yet (single-core
+    // machines) does not cost a futex syscall on every further push.
+    if (empty_waiters_.load(std::memory_order_relaxed) != 0 &&
+        empty_waiters_.exchange(0, std::memory_order_seq_cst) != 0) {
+      nonempty_ver_.fetch_add(1, std::memory_order_seq_cst);
+      nonempty_ver_.notify_one();
+    }
+    return PushResult::kAccepted;
+  }
+
   bool try_pop_ring(Token& out, std::size_t* depth_after) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == cached_tail_) {

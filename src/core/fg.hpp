@@ -16,7 +16,6 @@
 
 #include "core/buffer.hpp"     // IWYU pragma: export
 #include "core/channel.hpp"    // IWYU pragma: export
-#include "core/executor.hpp"   // IWYU pragma: export
 #include "core/graph.hpp"      // IWYU pragma: export
 #include "core/pipeline.hpp"   // IWYU pragma: export
 #include "core/plan.hpp"       // IWYU pragma: export

@@ -85,7 +85,6 @@ RunStats PipelineGraph::run_stats() const {
     out.stages = impl_->last->stats();
     out.queues = impl_->last->queue_stats();
     out.wall_seconds = impl_->last->wall_seconds();
-    out.executor = impl_->last->executor_name();
   }
   out.runs_completed = impl_->runs_completed;
   return out;
@@ -124,7 +123,6 @@ void RunStats::write_json(util::JsonWriter& w) const {
   w.begin_object();
   w.kv("wall_seconds", wall_seconds);
   w.kv("runs_completed", runs_completed);
-  w.kv("executor", executor.empty() ? "threads" : executor);
   w.key("stages");
   write_stage_stats_json(w, stages);
   w.key("queues");

@@ -63,8 +63,6 @@ struct RunStats {
   std::vector<QueueStats> queues;
   double wall_seconds{0.0};
   std::size_t runs_completed{0};  ///< how many times the graph has run
-  /// Executor backend of the most recent run ("threads" or "tasks").
-  std::string executor;
 
   // Fault/recovery counters.  The runtime itself does not fill these —
   // the program that owns the disks and the fault injector aggregates them
@@ -117,12 +115,11 @@ class PipelineGraph {
   /// share one session.
   void set_observability(obs::Session* session);
 
-  /// Pick the execution backend for subsequent runs: thread-per-stage or
-  /// the work-stealing task pool, and the channel policy (kMpmcOnly
+  /// Set the options for subsequent runs: the channel policy (kMpmcOnly
   /// forces the blocking MPMC queue even where the plan proved SPSC
-  /// eligibility).  Defaults resolve from the environment (FG_EXECUTOR,
-  /// FG_TASK_WORKERS, FG_CHANNELS) so whole suites can be replayed under
-  /// either backend without code changes.
+  /// eligibility) and the pool budget.  The channel default resolves from
+  /// the environment (FG_CHANNELS) so whole suites can be replayed under
+  /// either channel kind without code changes.
   void set_runtime_options(RuntimeOptions options);
 
   /// Arm a stall watchdog on subsequent runs: if no worker completes a

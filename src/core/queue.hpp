@@ -49,20 +49,6 @@ class BufferQueue final : public Channel {
     return true;
   }
 
-  /// Non-blocking push: kFull instead of sleeping when at capacity.
-  PushResult try_push(Token t, std::size_t* depth_after = nullptr) override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (aborted_) return PushResult::kAborted;
-    if (capacity_ != 0 && q_.size() >= capacity_) return PushResult::kFull;
-    q_.push_back(t);
-    ++pushes_;
-    if (q_.size() > peak_) peak_ = q_.size();
-    if (depth_after != nullptr) *depth_after = q_.size();
-    lock.unlock();
-    not_empty_.notify_one();
-    return PushResult::kAccepted;
-  }
-
   /// Blocking pop; returns an abort token once the queue is aborted.
   Token pop(std::size_t* depth_after = nullptr) override {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -77,25 +63,6 @@ class BufferQueue final : public Channel {
     // notify on the hot path (bench_buffers measures the win).
     if (capacity_ != 0) not_full_.notify_one();
     return t;
-  }
-
-  /// Non-blocking pop; false if empty (or an abort token if aborted).
-  bool try_pop(Token& out) override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (aborted_) {
-      out = Token::abort();
-      return true;
-    }
-    // Observe occupancy here too, so peak() is consistent no matter how
-    // the queue is drained.
-    if (q_.size() > peak_) peak_ = q_.size();
-    if (q_.empty()) return false;
-    out = q_.front();
-    q_.pop_front();
-    ++pops_;
-    lock.unlock();
-    if (capacity_ != 0) not_full_.notify_one();
-    return true;
   }
 
   /// Unconditionally enqueue `t`, ignoring capacity and abort state.

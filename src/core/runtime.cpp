@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace fg {
@@ -16,6 +17,14 @@ const char* to_string(ChannelKind k) noexcept {
   return "?";
 }
 
+ChannelPolicy resolve_channels(ChannelPolicy p) noexcept {
+  if (p != ChannelPolicy::kAuto) return p;
+  const char* env = std::getenv("FG_CHANNELS");
+  if (env != nullptr && std::string(env) == "mpmc")
+    return ChannelPolicy::kMpmcOnly;
+  return ChannelPolicy::kAuto;
+}
+
 // ---------------------------------------------------------------------------
 // Construction: materialize queues, pools, and workers from the plan
 // ---------------------------------------------------------------------------
@@ -23,10 +32,6 @@ const char* to_string(ChannelKind k) noexcept {
 GraphRuntime::GraphRuntime(const ExecutionPlan& plan, obs::Session* obs,
                            RuntimeOptions options)
     : plan_(&plan), obs_(obs) {
-  executor_kind_ = resolve_executor(options.executor);
-  executor_name_ = to_string(executor_kind_);
-  task_workers_ = resolve_task_workers(options.task_workers);
-  task_spans_ = resolve_task_spans(options.task_spans);
   const ChannelPolicy channels = resolve_channels(options.channels);
 
   queues_.reserve(plan.queues().size());
@@ -123,9 +128,6 @@ void GraphRuntime::record_error(std::exception_ptr e) {
 
 void GraphRuntime::abort_all() {
   for (auto& q : queues_) q->abort();
-  // Parked tasks are not blocked in any channel op; the task executor
-  // must wake them so they observe the abort tokens and unwind.
-  if (notifier_ != nullptr) notifier_->on_abort();
 }
 
 // ---------------------------------------------------------------------------
@@ -142,8 +144,6 @@ Token GraphRuntime::traced_pop(RunWorker& w, Channel* q) {
   Token t = q->pop(sample ? &depth : nullptr);
   w.blocked_queue.store(kNoQueue, std::memory_order_relaxed);
   progress_.fetch_add(1, std::memory_order_relaxed);
-  if (t.kind != TokenKind::kAbort && notifier_ != nullptr)
-    notifier_->on_pop(qi);
   if (sample && t.kind != TokenKind::kAbort) {
     if (!queue_gauges_.empty())
       queue_gauges_[qi]->set(static_cast<std::int64_t>(depth));
@@ -163,7 +163,6 @@ bool GraphRuntime::traced_push(RunWorker& w, Channel* q, Token t) {
   const bool ok = q->push(t, sample ? &depth : nullptr);
   w.blocked_queue.store(kNoQueue, std::memory_order_relaxed);
   progress_.fetch_add(1, std::memory_order_relaxed);
-  if (ok && notifier_ != nullptr) notifier_->on_push(qi);
   if (sample && ok) {
     if (!queue_gauges_.empty())
       queue_gauges_[qi]->set(static_cast<std::int64_t>(depth));
@@ -171,44 +170,6 @@ bool GraphRuntime::traced_push(RunWorker& w, Channel* q, Token t) {
       ring->sample(obs::SpanKind::kQueueDepth, qi, depth, util::Clock::now());
   }
   return ok;
-}
-
-bool GraphRuntime::traced_try_pop(RunWorker& w, Channel* q, Token& out) {
-  (void)w;  // blocked-queue diagnostics are published by the yield path
-  if (!q->try_pop(out)) return false;
-  const std::uint32_t qi = queue_index_.at(q);
-  progress_.fetch_add(1, std::memory_order_relaxed);
-  if (out.kind != TokenKind::kAbort && notifier_ != nullptr)
-    notifier_->on_pop(qi);
-  if (out.kind != TokenKind::kAbort) {
-    obs::SpanRing* const ring = obs::current_ring();
-    if (!queue_gauges_.empty())
-      queue_gauges_[qi]->set(static_cast<std::int64_t>(q->size()));
-    if (ring != nullptr) {
-      ring->sample(obs::SpanKind::kQueueDepth, qi, q->size(),
-                   util::Clock::now());
-    }
-  }
-  return true;
-}
-
-PushResult GraphRuntime::traced_try_push(RunWorker& w, Channel* q, Token t) {
-  (void)w;  // blocked-queue diagnostics are published by the yield path
-  const std::uint32_t qi = queue_index_.at(q);
-  obs::SpanRing* const ring = obs::current_ring();
-  std::size_t depth = 0;
-  const bool sample = ring != nullptr || !queue_gauges_.empty();
-  const PushResult r = q->try_push(t, sample ? &depth : nullptr);
-  if (r != PushResult::kAccepted) return r;
-  progress_.fetch_add(1, std::memory_order_relaxed);
-  if (notifier_ != nullptr) notifier_->on_push(qi);
-  if (sample) {
-    if (!queue_gauges_.empty())
-      queue_gauges_[qi]->set(static_cast<std::int64_t>(depth));
-    if (ring != nullptr)
-      ring->sample(obs::SpanKind::kQueueDepth, qi, depth, util::Clock::now());
-  }
-  return r;
 }
 
 std::string GraphRuntime::stall_report() const {
@@ -321,14 +282,21 @@ void GraphRuntime::run() {
   }
   ran_ = true;
   util::Stopwatch sw;
-  std::unique_ptr<Executor> executor =
-      executor_kind_ == ExecutorKind::kTasks
-          ? make_task_executor(*this, task_workers_)
-          : make_thread_per_stage_executor(*this);
   if (watchdog_window_ > util::Duration::zero()) {
     watchdog_thread_ = std::thread([this] { watchdog_loop(); });
   }
-  executor->execute();
+  // One OS thread per planned worker, plus one per extra replica.
+  for (auto& w : workers_) {
+    RunWorker* raw = w.get();
+    w->thread = std::thread([this, raw] { worker_entry(raw); });
+    for (std::size_t i = 1; i < w->spec->replicas; ++i) {
+      w->extra_threads.emplace_back([this, raw] { worker_entry(raw); });
+    }
+  }
+  for (auto& w : workers_) {
+    w->thread.join();
+    for (auto& t : w->extra_threads) t.join();
+  }
   if (watchdog_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> lock(wd_mutex_);

@@ -20,7 +20,6 @@
 // hot path touches no lock and allocates nothing.
 #pragma once
 
-#include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/queue.hpp"
 #include "core/stage_stats.hpp"
@@ -74,18 +73,25 @@ struct BufferAudit {
   }
 };
 
-/// Hook the task executor installs so that queue traffic produced by
-/// threads it does not schedule (custom-stage threads, teardown parking)
-/// still wakes the tasks waiting on the affected channel.  Null under the
-/// thread-per-stage backend — the channels' own blocking does the waking.
-class QueueNotifier {
- public:
-  virtual ~QueueNotifier() = default;
-  virtual void on_push(std::uint32_t qi) = 0;
-  virtual void on_pop(std::uint32_t qi) = 0;
-  /// The run is being torn down: every parked task must wake and observe
-  /// the channel abort.
-  virtual void on_abort() = 0;
+/// Channel selection policy.  kAuto lets the plan's analysis pick the
+/// wait-free SPSC ring where it proved eligibility; kMpmcOnly forces the
+/// blocking MPMC queue everywhere (the conformance/ablation setting).
+/// kAuto also honours FG_CHANNELS=mpmc from the environment.
+enum class ChannelPolicy : std::uint8_t { kAuto, kMpmcOnly };
+
+/// Resolve kAuto against the environment (FG_CHANNELS).
+ChannelPolicy resolve_channels(ChannelPolicy p) noexcept;
+
+/// Per-run options, set on PipelineGraph before run().
+struct RuntimeOptions {
+  ChannelPolicy channels{ChannelPolicy::kAuto};
+  /// Buffer-pool byte budget (util/budget.hpp).  When set, every run
+  /// charges its pools' full allocation (primary + auxiliary blocks)
+  /// against the budget at runtime construction and releases it at
+  /// teardown; an overdrawn charge throws util::QuotaExceeded before any
+  /// worker thread exists.  This is fgserve's per-job memory quota hook:
+  /// all graphs a job builds share the job's budget.  Null = no quota.
+  util::ByteBudget* pool_budget{nullptr};
 };
 
 class GraphRuntime {
@@ -93,8 +99,8 @@ class GraphRuntime {
   /// Materialize channels and pools for `plan`.  The plan must outlive
   /// the runtime; `obs` may be null.  With a session attached the run
   /// contributes spans and metrics to it (see class comment).  `options`
-  /// picks the executor backend and channel policy (kAuto resolves from
-  /// the environment).
+  /// picks the channel policy (kAuto resolves from the environment) and
+  /// the pool budget.
   explicit GraphRuntime(const ExecutionPlan& plan, obs::Session* obs = nullptr,
                         RuntimeOptions options = {});
   ~GraphRuntime();
@@ -134,16 +140,9 @@ class GraphRuntime {
 
   double wall_seconds() const noexcept { return wall_seconds_; }
 
-  /// Name of the executor backend this runtime resolved to ("threads" or
-  /// "tasks"); fixed at construction.
-  const char* executor_name() const noexcept { return executor_name_; }
-
  private:
   struct RunWorker;
   class Context;
-  friend class Executor;
-  friend class ThreadPerStageExecutor;
-  friend class TaskExecutor;
 
   void worker_entry(RunWorker* w);
   void source_loop(RunWorker& w);
@@ -160,28 +159,15 @@ class GraphRuntime {
   void park_token(RunWorker& w, Token t);
 
   /// Queue ops routed through these wrappers publish which queue the
-  /// worker is blocked on (for the stall report), bump the progress
-  /// counter the watchdog monitors, and (non-blocking variants included)
-  /// feed the task executor's wakeup hook.
+  /// worker is blocked on (for the stall report) and bump the progress
+  /// counter the watchdog monitors.
   Token traced_pop(RunWorker& w, Channel* q);
   bool traced_push(RunWorker& w, Channel* q, Token t);
-  /// Non-blocking variants for the task executor: identical tracing and
-  /// accounting, but kFull/empty yields back to the scheduler instead of
-  /// sleeping the thread.
-  bool traced_try_pop(RunWorker& w, Channel* q, Token& out);
-  PushResult traced_try_push(RunWorker& w, Channel* q, Token t);
   void watchdog_loop();
   std::string stall_report() const;
 
   const ExecutionPlan* plan_;
   obs::Session* obs_{nullptr};
-
-  // Resolved execution options (kAuto already applied).
-  ExecutorKind executor_kind_{ExecutorKind::kThreadPerStage};
-  std::size_t task_workers_{0};
-  bool task_spans_{false};
-  const char* executor_name_{"threads"};
-  QueueNotifier* notifier_{nullptr};  ///< installed by the task executor
 
   // Observability handles, resolved once at construction (the registry
   // lookup takes a mutex; the hot paths below only dereference).  All

@@ -74,10 +74,6 @@ struct GraphRuntime::RunWorker {
     std::unordered_map<PipelineId, bool> closed;
     std::size_t active{0};
     bool initialized{false};
-    /// Task-executor termination flag: set (under mutex) by the replica
-    /// task that forwards the last caboose, instead of the poison-pill
-    /// close tokens the blocking loop uses to wake sleeping siblings.
-    bool done{false};
   } repl;
 };
 

@@ -24,8 +24,6 @@ const char* category(SpanKind k) noexcept {
       return "net";
     case SpanKind::kQueueDepth:
       return "queue";
-    case SpanKind::kTaskSlice:
-      return "executor";
   }
   return "misc";
 }
@@ -55,10 +53,6 @@ void write_args(util::JsonWriter& w, const SpanRecord& s) {
     case SpanKind::kQueueDepth:
       w.kv("queue", std::uint64_t{s.scope});
       w.kv("depth", s.value);
-      break;
-    case SpanKind::kTaskSlice:
-      w.kv("worker", std::uint64_t{s.scope});
-      w.kv("slice", s.value);
       break;
   }
   w.end_object();

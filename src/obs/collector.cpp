@@ -80,7 +80,6 @@ const char* to_string(SpanKind k) noexcept {
     case SpanKind::kFabricRecv: return "net-recv";
     case SpanKind::kFabricCollective: return "net-collective";
     case SpanKind::kQueueDepth: return "queue-depth";
-    case SpanKind::kTaskSlice: return "task-slice";
   }
   return "unknown";
 }

@@ -14,7 +14,6 @@ const char* histogram_name(SpanKind k) noexcept {
     case SpanKind::kFabricSend: return "fabric.send_us";
     case SpanKind::kFabricRecv: return "fabric.recv_us";
     case SpanKind::kFabricCollective: return "fabric.collective_us";
-    case SpanKind::kTaskSlice: return "executor.task_slice_us";
     case SpanKind::kRound:        // recorded live by the sink
     case SpanKind::kQueueDepth:   // a sample, not a latency
       return nullptr;

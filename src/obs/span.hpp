@@ -38,9 +38,6 @@ enum class SpanKind : std::uint8_t {
   kFabricRecv,        ///< value = bytes, scope = receiving node
   kFabricCollective,  ///< barrier/broadcast/alltoall/...; scope = node
   kQueueDepth,        ///< instant sample; scope = queue index, value = depth
-  kTaskSlice,         ///< one resume slice of a stage task on a pool
-                      ///< worker; scope = planned worker index, value =
-                      ///< per-task slice sequence number
 };
 
 /// Short stable name used as the Chrome-trace event name.

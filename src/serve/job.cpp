@@ -80,8 +80,6 @@ void run_pipeline_kind(Job& job, const JobLimits& lim, JobResult& r) {
 
   PipelineGraph graph;
   RuntimeOptions opts;
-  opts.executor = ExecutorKind::kTasks;
-  opts.task_workers = lim.task_workers;
   opts.pool_budget = &pool_budget;
   graph.set_runtime_options(opts);
   const std::uint32_t wd = effective_watchdog(lim.watchdog_ms,
@@ -106,7 +104,7 @@ void run_pipeline_kind(Job& job, const JobLimits& lim, JobResult& r) {
   std::atomic<std::uint64_t> produced{0};
   std::atomic<std::uint64_t> consumed{0};
   std::atomic<std::uint64_t> rounds_out{0};
-  std::uint64_t fill_round = 0;  // head stage runs on one worker at a time
+  std::uint64_t fill_round = 0;  // touched only by the head stage's thread
 
   std::vector<std::unique_ptr<MapStage>> stages;
   stages.reserve(spec.stages);
@@ -206,8 +204,6 @@ void run_cluster_kind(Job& job, const JobLimits& lim, JobResult& r) {
   cfg.buffer_records = 1024;
   cfg.num_buffers = spec.num_buffers;
   cfg.seed = spec.seed;
-  cfg.runtime.executor = ExecutorKind::kTasks;
-  cfg.runtime.task_workers = lim.task_workers;
   cfg.runtime.pool_budget = &pool_budget;
   cfg.watchdog_ms = effective_watchdog(lim.watchdog_ms, spec.watchdog_ms);
 

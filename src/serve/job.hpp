@@ -128,8 +128,7 @@ struct JobLimits {
   std::uint64_t pool_quota_bytes{0};  ///< 0 = unlimited
   std::uint64_t disk_quota_bytes{0};  ///< 0 = unlimited
   std::uint32_t watchdog_ms{10'000};
-  std::size_t task_workers{2};  ///< task-pool width per graph
-  std::filesystem::path root;   ///< parent dir for the job's workspace
+  std::filesystem::path root;  ///< parent dir for the job's workspace
 };
 
 /// Execute `job` to a terminal state and return its result.  Never

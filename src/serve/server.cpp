@@ -56,7 +56,6 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
   limits_.pool_quota_bytes = opts_.pool_quota_bytes;
   limits_.disk_quota_bytes = opts_.disk_quota_bytes;
   limits_.watchdog_ms = opts_.watchdog_ms;
-  limits_.task_workers = opts_.job_task_workers;
   limits_.root = opts_.root.empty()
                      ? std::filesystem::temp_directory_path() /
                            ("fgserve-" + std::to_string(::getpid()))

@@ -72,9 +72,6 @@ struct ServerOptions {
   /// Default stall watchdog per job (ms); jobs may only tighten it.
   std::uint32_t watchdog_ms{10'000};
 
-  /// Task-pool width each job's graphs run with.
-  std::size_t job_task_workers{2};
-
   /// Parent directory for per-job workspaces; empty = system temp.
   std::filesystem::path root;
 

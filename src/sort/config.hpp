@@ -2,7 +2,7 @@
 // result structures the drivers report.
 #pragma once
 
-#include "core/executor.hpp"
+#include "core/runtime.hpp"
 #include "core/stage_stats.hpp"
 #include "sort/distributions.hpp"
 #include "util/latency.hpp"
@@ -51,10 +51,9 @@ struct SortConfig {
   std::uint64_t seed{1};
   Distribution dist{Distribution::kUniform};
 
-  /// Executor/channel selection, applied to every pipeline graph the run
-  /// builds (kAuto fields also honour FG_EXECUTOR / FG_TASK_WORKERS /
-  /// FG_CHANNELS).  fgsort exposes these as --executor, --workers, and
-  /// --channels.
+  /// Channel selection (and fgserve's per-job pool budget), applied to
+  /// every pipeline graph the run builds.  kAuto also honours
+  /// FG_CHANNELS; fgsort exposes the policy as --channels.
   RuntimeOptions runtime{};
 
   /// Stall watchdog window for every pipeline graph the run builds, in

@@ -1,8 +1,10 @@
 #include "util/fault.hpp"
 
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <climits>
 
 namespace fg::fault {
 
@@ -102,12 +104,10 @@ namespace {
                               "': " + why);
 }
 
-std::uint64_t parse_u64(const std::string& entry, const std::string& s) {
-  if (s.empty()) bad_spec(entry, "expected a number");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) bad_spec(entry, "expected a number");
-  return v;
+std::uint64_t spec_number(const std::string& entry, const std::string& s) {
+  const auto v = util::parse_number<std::uint64_t>(s);
+  if (!v) bad_spec(entry, "expected a number");
+  return *v;
 }
 
 void parse_entry(Injector& inj, const std::string& entry) {
@@ -132,8 +132,11 @@ void parse_entry(Injector& inj, const std::string& entry) {
           tail.find_first_not_of("0123456789") != std::string::npos) {
         continue;
       }
-      const std::uint64_t v = parse_u64(entry, tail);
-      if (mark == '@') rule.node = static_cast<int>(v);
+      const std::uint64_t v = spec_number(entry, tail);
+      if (mark == '@') {
+        if (v > INT_MAX) bad_spec(entry, "@N needs a node in [0, INT_MAX]");
+        rule.node = static_cast<int>(v);
+      }
       if (mark == 'x') rule.max_fires = v;
       if (mark == '+') rule.after = v;
       rest = rest.substr(0, at);
@@ -144,21 +147,23 @@ void parse_entry(Injector& inj, const std::string& entry) {
 
   if (rest.rfind("nth:", 0) == 0) {
     rule.trigger = Rule::Trigger::kEveryNth;
-    rule.every_n = parse_u64(entry, rest.substr(4));
+    rule.every_n = spec_number(entry, rest.substr(4));
     if (rule.every_n == 0) bad_spec(entry, "nth needs N >= 1");
   } else if (rest.rfind("p:", 0) == 0) {
     rule.trigger = Rule::Trigger::kProbability;
-    char* end = nullptr;
-    rule.probability = std::strtod(rest.c_str() + 2, &end);
-    if (end != rest.c_str() + rest.size() || rule.probability < 0.0 ||
-        rule.probability > 1.0) {
+    const char* end = rest.data() + rest.size();
+    const auto [ptr, ec] = std::from_chars(rest.data() + 2, end,
+                                           rule.probability);
+    // Written so that NaN fails the range check too.
+    if (ec != std::errc{} || ptr != end ||
+        !(rule.probability >= 0.0 && rule.probability <= 1.0)) {
       bad_spec(entry, "p needs a probability in [0, 1]");
     }
   } else if (rest == "once") {
     rule.trigger = Rule::Trigger::kOneShot;
   } else if (rest.rfind("once:", 0) == 0) {
     rule.trigger = Rule::Trigger::kOneShot;
-    rule.at_op = parse_u64(entry, rest.substr(5));
+    rule.at_op = spec_number(entry, rest.substr(5));
     if (rule.at_op == 0) bad_spec(entry, "once needs AT >= 1");
   } else if (rest == "always") {
     rule.trigger = Rule::Trigger::kEveryNth;

@@ -165,6 +165,8 @@ class Injector {
 ///   fabric.crash=once:25@3              node 3's 25th fabric call crashes
 ///   disk.write.error=always+200         every write after the 200th fails
 ///
+/// N, AT, max and after are unsigned 64-bit decimals with no sign or
+/// whitespace; node is in [0, INT_MAX]; P is a decimal in [0, 1].
 /// Throws std::invalid_argument on a malformed spec.
 void apply_spec(Injector& inj, const std::string& spec);
 

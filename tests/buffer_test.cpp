@@ -86,16 +86,6 @@ TEST(BufferQueue, FifoOrder) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BufferQueue, TryPopOnEmpty) {
-  BufferQueue q;
-  Token t;
-  EXPECT_FALSE(q.try_pop(t));
-  Buffer a(16, 0, false);
-  q.push(Token::of_buffer(&a));
-  EXPECT_TRUE(q.try_pop(t));
-  EXPECT_EQ(t.buffer, &a);
-}
-
 TEST(BufferQueue, BlockingPopWakesOnPush) {
   BufferQueue q;
   Buffer a(16, 0, false);
@@ -140,11 +130,9 @@ TEST(BufferQueue, AbortMakesOperationsNoops) {
   BufferQueue q;
   q.abort();
   Buffer a(16, 0, false);
-  q.push(Token::of_buffer(&a));  // dropped
+  EXPECT_FALSE(q.push(Token::of_buffer(&a)));  // dropped
+  EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.pop().kind, TokenKind::kAbort);
-  Token t;
-  EXPECT_TRUE(q.try_pop(t));
-  EXPECT_EQ(t.kind, TokenKind::kAbort);
 }
 
 TEST(BufferQueue, AbortWakesBlockedPushers) {
@@ -224,17 +212,15 @@ TEST(BufferQueue, ManyProducersManyConsumers) {
 // contract — token semantics, abort behaviour, and stats accounting.
 // ---------------------------------------------------------------------------
 
-TEST(SpscChannel, FifoOrderAndTryPop) {
+TEST(SpscChannel, FifoOrder) {
   SpscChannel q(8, 0);
   EXPECT_EQ(q.kind(), ChannelKind::kSpsc);
-  Token t;
-  EXPECT_FALSE(q.try_pop(t));
+  EXPECT_EQ(q.size(), 0u);
   Buffer a(16, 0, false), b(16, 0, false);
-  EXPECT_EQ(q.try_push(Token::of_buffer(&a)), PushResult::kAccepted);
-  EXPECT_EQ(q.try_push(Token::of_buffer(&b)), PushResult::kAccepted);
+  EXPECT_TRUE(q.push(Token::of_buffer(&a)));
+  EXPECT_TRUE(q.push(Token::of_buffer(&b)));
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_TRUE(q.try_pop(t));
-  EXPECT_EQ(t.buffer, &a);
+  EXPECT_EQ(q.pop().buffer, &a);
   EXPECT_EQ(q.pop().buffer, &b);
   EXPECT_EQ(q.size(), 0u);
 }
@@ -255,8 +241,7 @@ TEST(SpscChannel, DeclaredCapacityThrottlesProducer) {
   SpscChannel q(4, 1);
   EXPECT_EQ(q.capacity(), 1u);
   Buffer a(16, 0, false), b(16, 0, false);
-  ASSERT_EQ(q.try_push(Token::of_buffer(&a)), PushResult::kAccepted);
-  EXPECT_EQ(q.try_push(Token::of_buffer(&b)), PushResult::kFull);
+  ASSERT_TRUE(q.push(Token::of_buffer(&a)));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
     EXPECT_TRUE(q.push(Token::of_buffer(&b)));  // blocks on the full edge
@@ -264,6 +249,7 @@ TEST(SpscChannel, DeclaredCapacityThrottlesProducer) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.pop().buffer, &a);
   producer.join();
   EXPECT_TRUE(pushed.load());
@@ -275,13 +261,11 @@ TEST(SpscChannel, AbortWinsOverResidentTokens) {
   // resident tokens stay in place for the teardown audit.
   SpscChannel q(4, 0);
   Buffer a(16, 0, false);
-  ASSERT_EQ(q.try_push(Token::of_buffer(&a)), PushResult::kAccepted);
+  ASSERT_TRUE(q.push(Token::of_buffer(&a)));
   q.abort();
   EXPECT_EQ(q.pop().kind, TokenKind::kAbort);
-  Token t;
-  EXPECT_TRUE(q.try_pop(t));
-  EXPECT_EQ(t.kind, TokenKind::kAbort);
-  EXPECT_EQ(q.try_push(Token::of_buffer(&a)), PushResult::kAborted);
+  EXPECT_EQ(q.pop().kind, TokenKind::kAbort);
+  EXPECT_FALSE(q.push(Token::of_buffer(&a)));  // dropped
   std::size_t residents = 0;
   q.for_each_resident([&](const Token& r) {
     ++residents;
@@ -293,7 +277,7 @@ TEST(SpscChannel, AbortWinsOverResidentTokens) {
 TEST(SpscChannel, AbortWakesBlockedPeers) {
   SpscChannel full(4, 1);
   Buffer a(16, 0, false), b(16, 0, false);
-  ASSERT_EQ(full.try_push(Token::of_buffer(&a)), PushResult::kAccepted);
+  ASSERT_TRUE(full.push(Token::of_buffer(&a)));
   std::thread producer([&] {
     EXPECT_FALSE(full.push(Token::of_buffer(&b)));  // dropped on abort
   });
@@ -311,7 +295,7 @@ TEST(SpscChannel, AbortWakesBlockedPeers) {
 TEST(SpscChannel, ForcePushCountsAsForcedNotPushed) {
   SpscChannel q(4, 0);
   Buffer a(16, 0, false);
-  ASSERT_EQ(q.try_push(Token::of_buffer(&a)), PushResult::kAccepted);
+  ASSERT_TRUE(q.push(Token::of_buffer(&a)));
   (void)q.pop();
   q.abort();
   q.force_push(Token::of_buffer(&a));  // teardown parking from any thread

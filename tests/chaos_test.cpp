@@ -496,7 +496,7 @@ TEST_P(ChaosFabricMesh, InjectedCrashUnwindsEveryRank) {
   std::filesystem::remove_all(root);
 }
 
-// -- executor/channel chaos -------------------------------------------------
+// -- channel chaos ---------------------------------------------------------
 
 namespace {
 
@@ -534,37 +534,6 @@ PipelineConfig chain_config(std::uint64_t rounds) {
 
 }  // namespace
 
-TEST(ChaosExecutor, StageFaultUnderTaskExecutorReconciles) {
-  fault::Injector inj(chaos_seed());
-  inj.arm(fault::kStageThrow, fault::Rule::one_shot(7));
-
-  PipelineGraph g;
-  auto& p = g.add_pipeline(chain_config(200));
-  MapStage a("a", [](Buffer&) { return StageAction::kConvey; });
-  MapStage boom("boom", fault::guarded(inj, fault::kStageThrow, -1,
-                                       [](Buffer&) {
-                                         return StageAction::kConvey;
-                                       }));
-  MapStage b("b", [](Buffer&) { return StageAction::kConvey; });
-  p.add_stage(a);
-  p.add_stage(boom);
-  p.add_stage(b);
-  RuntimeOptions opt;
-  opt.executor = ExecutorKind::kTasks;
-  opt.task_workers = 4;
-  g.set_runtime_options(opt);
-  // The watchdog is the hang detector: a worker that failed to unwind
-  // would stall progress and turn this throw into PipelineStalled.
-  g.set_watchdog(std::chrono::seconds(30));
-
-  EXPECT_THROW(g.run(), fault::InjectedFault);
-  EXPECT_EQ(g.run_stats().executor, std::string("tasks"));
-  for (const BufferAudit& au : g.audit_buffers()) {
-    EXPECT_EQ(au.accounted(), au.pool);
-  }
-  expect_queues_reconcile(g, false);
-}
-
 TEST(ChaosExecutor, StageFaultOnSpscChannelsReconciles) {
   fault::Injector inj(chaos_seed() + 1);
   inj.arm(fault::kStageThrow, fault::Rule::one_shot(11));
@@ -598,61 +567,20 @@ TEST(ChaosExecutor, StageFaultOnSpscChannelsReconciles) {
 
 TEST(ChaosExecutor, HealthyRunLeavesEveryQueueEmpty) {
   // The exact reconciliation (residents == pushes + forced - pops == 0)
-  // on the success path, under both executors.
-  for (ExecutorKind kind :
-       {ExecutorKind::kThreadPerStage, ExecutorKind::kTasks}) {
-    PipelineGraph g;
-    auto& p = g.add_pipeline(chain_config(300));
-    std::atomic<int> n{0};
-    MapStage a("a", [](Buffer&) { return StageAction::kConvey; });
-    MapStage b("b", [&](Buffer&) {
-      ++n;
-      return StageAction::kConvey;
-    });
-    p.add_stage(a);
-    p.add_stage(b);
-    RuntimeOptions opt;
-    opt.executor = kind;
-    opt.task_workers = 4;
-    g.set_runtime_options(opt);
-    g.run();
-    EXPECT_EQ(n.load(), 300);
-    expect_queues_reconcile(g, true);
-  }
-}
-
-TEST(ChaosExecutor, WatchdogNamesStalledWorkersUnderTasks) {
-  // The hoarding custom stage keeps its dedicated thread under the task
-  // backend; the source *task* parks once the pool is drained.  The
-  // watchdog must still see the wedge, name it, and the teardown must
-  // wake every parked task — the pool threads may not outlive the run.
+  // on the success path.
   PipelineGraph g;
-  PipelineConfig pc;
-  pc.name = "wedged";
-  pc.num_buffers = 3;
-  pc.buffer_bytes = 64;
-  pc.rounds = 100;
-  auto& p = g.add_pipeline(pc);
-  HoardStage hoard;
-  p.add_stage(hoard);
-  RuntimeOptions opt;
-  opt.executor = ExecutorKind::kTasks;
-  opt.task_workers = 4;
-  g.set_runtime_options(opt);
-  g.set_watchdog(std::chrono::milliseconds(400));
-
-  try {
-    g.run();
-    FAIL() << "expected PipelineStalled";
-  } catch (const PipelineStalled& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("blocked"), std::string::npos) << what;
-    EXPECT_NE(what.find("queue"), std::string::npos) << what;
-  }
-  EXPECT_EQ(g.run_stats().executor, std::string("tasks"));
-  for (const BufferAudit& a : g.audit_buffers()) {
-    EXPECT_EQ(a.accounted(), a.pool);
-  }
+  auto& p = g.add_pipeline(chain_config(300));
+  std::atomic<int> n{0};
+  MapStage a("a", [](Buffer&) { return StageAction::kConvey; });
+  MapStage b("b", [&](Buffer&) {
+    ++n;
+    return StageAction::kConvey;
+  });
+  p.add_stage(a);
+  p.add_stage(b);
+  g.run();
+  EXPECT_EQ(n.load(), 300);
+  expect_queues_reconcile(g, true);
 }
 
 // -- the serving layer under tenant chaos -----------------------------------
@@ -785,6 +713,16 @@ TEST(ChaosInjector, SpecGrammarRoundTrips) {
                std::invalid_argument);
   EXPECT_THROW(fault::apply_spec(bad, "site=nth:"), std::invalid_argument);
   EXPECT_THROW(fault::apply_spec(bad, "site=p:nope"), std::invalid_argument);
+  // Hostile numbers: signs, whitespace, overflow, NaN, and node ids that
+  // do not fit an int (which used to wrap to another node, or to every
+  // node).
+  for (const char* spec :
+       {"site=nth:-1", "site=nth: 5", "site=nth:99999999999999999999999",
+        "site=p:nan", "site=p:-nan", "site=once@4294967297",
+        "site=always@2147483648"}) {
+    EXPECT_THROW(fault::apply_spec(bad, spec), std::invalid_argument) << spec;
+  }
+  EXPECT_NO_THROW(fault::apply_spec(bad, "site=always@2147483647"));
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Shared fixture for replaying runtime tests under every (executor,
-// channel policy) combination.  The parameters are applied through the
-// environment variables GraphRuntime resolves its kAuto options against
-// (FG_EXECUTOR / FG_TASK_WORKERS / FG_CHANNELS), so the test bodies run
-// byte-for-byte unmodified under each backend — the point being that
-// pipeline semantics (tokens, caboose, close, stats, flush ordering) are
-// executor- and channel-invariant.
+// Shared fixture for replaying runtime tests under every channel policy.
+// The parameter is applied through the environment variable GraphRuntime
+// resolves its kAuto channel policy against (FG_CHANNELS), so the test
+// bodies run byte-for-byte unmodified on the SPSC rings the plan picks
+// and on the MPMC queue everywhere — the point being that pipeline
+// semantics (tokens, caboose, close, stats, flush ordering) are
+// channel-invariant.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,60 +15,39 @@
 
 namespace fg::test {
 
-struct ExecParam {
-  const char* executor;  ///< "threads" | "tasks"
+struct ChannelParam {
   const char* channels;  ///< "auto" | "mpmc"
 };
 
-inline constexpr ExecParam kExecMatrix[] = {
-    {"threads", "auto"},
-    {"threads", "mpmc"},
-    {"tasks", "auto"},
-    {"tasks", "mpmc"},
-};
+inline constexpr ChannelParam kChannelMatrix[] = {{"auto"}, {"mpmc"}};
 
-inline std::string exec_param_name(
-    const ::testing::TestParamInfo<ExecParam>& info) {
-  return std::string(info.param.executor) + "_" + info.param.channels;
+inline std::string channel_param_name(
+    const ::testing::TestParamInfo<ChannelParam>& info) {
+  return info.param.channels;
 }
 
-/// Sets the selection environment for one test and restores whatever was
-/// there before (so an outer FG_EXECUTOR=... suite replay, as tools/ci.sh
-/// does, still governs the non-parameterized tests in the same binary).
-class WithExecutor : public ::testing::TestWithParam<ExecParam> {
+/// Sets the channel policy for one test and restores whatever was there
+/// before (so an outer FG_CHANNELS=... suite replay still governs the
+/// non-parameterized tests in the same binary).
+class WithChannels : public ::testing::TestWithParam<ChannelParam> {
  protected:
   void SetUp() override {
-    save("FG_EXECUTOR", saved_executor_);
-    save("FG_CHANNELS", saved_channels_);
-    save("FG_TASK_WORKERS", saved_workers_);
-    ::setenv("FG_EXECUTOR", GetParam().executor, 1);
+    const char* v = std::getenv("FG_CHANNELS");
+    saved_channels_ =
+        v != nullptr ? std::optional<std::string>(v) : std::nullopt;
     ::setenv("FG_CHANNELS", GetParam().channels, 1);
-    ::setenv("FG_TASK_WORKERS", "4", 1);
   }
 
   void TearDown() override {
-    restore("FG_EXECUTOR", saved_executor_);
-    restore("FG_CHANNELS", saved_channels_);
-    restore("FG_TASK_WORKERS", saved_workers_);
-  }
-
- private:
-  static void save(const char* name, std::optional<std::string>& slot) {
-    const char* v = std::getenv(name);
-    slot = v != nullptr ? std::optional<std::string>(v) : std::nullopt;
-  }
-  static void restore(const char* name,
-                      const std::optional<std::string>& slot) {
-    if (slot) {
-      ::setenv(name, slot->c_str(), 1);
+    if (saved_channels_) {
+      ::setenv("FG_CHANNELS", saved_channels_->c_str(), 1);
     } else {
-      ::unsetenv(name);
+      ::unsetenv("FG_CHANNELS");
     }
   }
 
-  std::optional<std::string> saved_executor_;
+ private:
   std::optional<std::string> saved_channels_;
-  std::optional<std::string> saved_workers_;
 };
 
 }  // namespace fg::test

@@ -29,19 +29,19 @@ PipelineConfig cfg_of(std::string name, std::size_t buffer_bytes,
   return c;
 }
 
-// Every suite replays under {threads,tasks} x {auto,mpmc} channels.
-using DisjointP = test::WithExecutor;
-using IntersectingP = test::WithExecutor;
-using VirtualP = test::WithExecutor;
-INSTANTIATE_TEST_SUITE_P(Executors, DisjointP,
-                         ::testing::ValuesIn(test::kExecMatrix),
-                         test::exec_param_name);
-INSTANTIATE_TEST_SUITE_P(Executors, IntersectingP,
-                         ::testing::ValuesIn(test::kExecMatrix),
-                         test::exec_param_name);
-INSTANTIATE_TEST_SUITE_P(Executors, VirtualP,
-                         ::testing::ValuesIn(test::kExecMatrix),
-                         test::exec_param_name);
+// Every suite replays under both channel policies, {auto,mpmc}.
+using DisjointP = test::WithChannels;
+using IntersectingP = test::WithChannels;
+using VirtualP = test::WithChannels;
+INSTANTIATE_TEST_SUITE_P(Channels, DisjointP,
+                         ::testing::ValuesIn(test::kChannelMatrix),
+                         test::channel_param_name);
+INSTANTIATE_TEST_SUITE_P(Channels, IntersectingP,
+                         ::testing::ValuesIn(test::kChannelMatrix),
+                         test::channel_param_name);
+INSTANTIATE_TEST_SUITE_P(Channels, VirtualP,
+                         ::testing::ValuesIn(test::kChannelMatrix),
+                         test::channel_param_name);
 
 // ---------------------------------------------------------------------------
 // Disjoint pipelines

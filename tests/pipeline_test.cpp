@@ -26,11 +26,11 @@ PipelineConfig small_config(std::string name, std::uint64_t rounds,
   return cfg;
 }
 
-// Every test replays under {threads,tasks} x {auto,mpmc} channels.
-using PipelineP = test::WithExecutor;
-INSTANTIATE_TEST_SUITE_P(Executors, PipelineP,
-                         ::testing::ValuesIn(test::kExecMatrix),
-                         test::exec_param_name);
+// Every test replays under both channel policies, {auto,mpmc}.
+using PipelineP = test::WithChannels;
+INSTANTIATE_TEST_SUITE_P(Channels, PipelineP,
+                         ::testing::ValuesIn(test::kChannelMatrix),
+                         test::channel_param_name);
 
 TEST_P(PipelineP, FixedRoundsDeliverEveryRound) {
   PipelineGraph g;

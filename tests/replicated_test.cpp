@@ -26,11 +26,11 @@ PipelineConfig cfg_of(std::uint64_t rounds, std::size_t buffers = 8) {
   return c;
 }
 
-// Every test replays under {threads,tasks} x {auto,mpmc} channels.
-using ReplicatedP = test::WithExecutor;
-INSTANTIATE_TEST_SUITE_P(Executors, ReplicatedP,
-                         ::testing::ValuesIn(test::kExecMatrix),
-                         test::exec_param_name);
+// Every test replays under both channel policies, {auto,mpmc}.
+using ReplicatedP = test::WithChannels;
+INSTANTIATE_TEST_SUITE_P(Channels, ReplicatedP,
+                         ::testing::ValuesIn(test::kChannelMatrix),
+                         test::channel_param_name);
 
 TEST_P(ReplicatedP, ProcessesEveryBufferExactlyOnce) {
   PipelineGraph g;

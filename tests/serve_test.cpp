@@ -203,6 +203,44 @@ TEST(ServeTest, SortAndPermuteKindsServeAndVerify) {
   EXPECT_EQ(server.wait(), 0);
 }
 
+TEST(ServeTest, JobsAtTheSpecLimitsComplete) {
+  // Job graphs run one thread per stage: a 64-stage pipeline job runs 66
+  // threads (its stages plus source and sink), and a 16-node sort job
+  // runs a thread per stage on every node.  Both are the largest specs
+  // the protocol accepts.
+  Server server(quick_opts());
+  server.start();
+
+  Client c;
+  c.connect(server.port());
+  JobSpec deep = quick_pipeline(5);
+  deep.stages = 64;
+  deep.rounds = 8;
+  deep.buffer_bytes = 256;
+  JobSpec wide;
+  wide.kind = "sort";
+  wide.records = 16384;
+  wide.nodes = 16;
+
+  const Client::Submit s1 = c.submit(deep);
+  const Client::Submit s2 = c.submit(wide);
+  ASSERT_TRUE(s1.accepted) << s1.reason;
+  ASSERT_TRUE(s2.accepted) << s2.reason;
+
+  const JobResult r1 = c.wait(s1.id);
+  const JobResult r2 = c.wait(s2.id);
+  EXPECT_EQ(r1.state, JobState::kCompleted) << r1.error;
+  EXPECT_TRUE(r1.verified);
+  EXPECT_TRUE(r1.audit_ok);
+  EXPECT_EQ(r1.records, 8u);
+  EXPECT_EQ(r2.state, JobState::kCompleted) << r2.error;
+  EXPECT_TRUE(r2.verified);
+  EXPECT_TRUE(r2.audit_ok);
+  EXPECT_EQ(r2.records, 16384u);
+  c.bye();
+  EXPECT_EQ(server.wait(), 0);
+}
+
 // -- admission control ------------------------------------------------------
 
 TEST(ServeTest, FullQueueShedsWithBusy) {

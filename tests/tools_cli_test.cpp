@@ -107,6 +107,31 @@ TEST(FgsortCli, RunFailureExitsThree) {
       << r.output;
 }
 
+TEST(FgsortCli, MalformedFaultSpecIsUsageError) {
+  // The spec used to be parsed only inside the run, after dataset
+  // generation, so a typo exited 3 ("run failed") instead of 2.
+  expect_flag_diagnostic(run(g_fgsort +
+                             " --program dsort --nodes 2 --records 4096"
+                             " --latency none --fault-spec bogus"),
+                         2, "--fault-spec", "bogus");
+}
+
+TEST(FgsortCli, NegativeFaultSpecCountRejected) {
+  // strtoull read "-1" as 2^64 - 1, so this spec armed a rule that never
+  // fired and the run exited 0.
+  expect_flag_diagnostic(run(g_fgsort +
+                             " --program dsort --nodes 2 --records 4096"
+                             " --latency none"
+                             " --fault-spec 'disk.read.error=nth:-1'"),
+                         2, "--fault-spec", "nth:-1");
+}
+
+TEST(FgsortCli, UnknownFlagIsUsageError) {
+  // Stages always run one thread each; there is no executor to pick.
+  EXPECT_EQ(run(g_fgsort + " --executor tasks").exit_code, 2);
+  EXPECT_EQ(run(g_fgsort + " --workers 4").exit_code, 2);
+}
+
 TEST(FgnodeCli, GarbageNodesNamesTheFlag) {
   expect_flag_diagnostic(run(g_fgnode + " --nodes banana -- true"), 2,
                          "--nodes", "banana");

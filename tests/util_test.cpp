@@ -1,17 +1,22 @@
 // Unit tests for the fg::util substrate: RNG determinism and quality
 // smoke checks, latency cost arithmetic, timers, streaming statistics,
-// histograms, and table/format rendering.
+// histograms, table/format rendering, and a mutation fuzz of the strict
+// parsers.
+#include "util/fault.hpp"
+#include "util/json.hpp"
 #include "util/latency.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+#include "util/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -248,6 +253,112 @@ TEST(Log, LevelsGateOutput) {
   Log::set_level(LogLevel::kDebug);
   EXPECT_TRUE(Log::enabled(LogLevel::kInfo));
   Log::set_level(old);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz of the strict parsers.  Hostile input must either
+// parse or throw the parser's own error type; anything else escaping, or
+// a crash (the ASan+UBSan configuration runs this too), is a bug.
+// ---------------------------------------------------------------------------
+
+/// Apply one to four random edits to `s`: flip a bit, insert a byte,
+/// delete a run, truncate, or splice in a slice of another corpus entry.
+std::string mutate(std::string s, const std::vector<std::string>& corpus,
+                   Xoshiro256& rng) {
+  const std::uint64_t edits = 1 + rng.below(4);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const std::size_t pos = rng.below(s.size() + 1);
+    switch (rng.below(5)) {
+      case 0:
+        if (pos < s.size()) {
+          s[pos] = static_cast<char>(s[pos] ^ (1 << rng.below(8)));
+        }
+        break;
+      case 1:
+        s.insert(pos, 1, static_cast<char>(rng.below(256)));
+        break;
+      case 2:
+        s.erase(pos, 1 + rng.below(8));
+        break;
+      case 3:
+        s.resize(pos);
+        break;
+      default: {
+        const std::string& o = corpus[rng.below(corpus.size())];
+        const std::size_t from = rng.below(o.size() + 1);
+        s.insert(pos, o, from, 1 + rng.below(16));
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+TEST(ParserFuzz, MutatedInputsParseOrThrowTheirOwnError) {
+  JsonWriter w;
+  w.begin_object();
+  w.kv("name", "a \"quoted\" value\twith \u00e9");
+  w.key("values");
+  w.begin_array();
+  w.value(-7);
+  w.value(2.5e-3);
+  w.value(true);
+  w.null();
+  w.end_array();
+  w.key("nested");
+  w.begin_object();
+  w.kv("wall_seconds", 0.125);
+  w.end_object();
+  w.end_object();
+  const std::vector<std::string> json = {
+      w.str(),
+      R"({"a":[1,-0,1e300,{"b":"\ud83d\ude00\n"}],"c":{}})",
+      R"([[[[[]]]],"x",false,null])",
+      "0",
+      R"("esc \" \\ \/ \b \f \r \t")",
+  };
+  const std::vector<std::string> specs = {
+      "disk.read.error=nth:40x3;fabric.crash=once:25@3;"
+      "disk.write.error=always+200",
+      "stage.throw=once:7",
+      "disk.read.error=nth:5",
+      "fabric.delay=p:0.01",
+      "disk.write.error=always@2147483647",
+  };
+
+  Xoshiro256 rng(0x5eed);
+  constexpr int kMutations = 20000;
+  int json_ok = 0, json_rejected = 0, spec_ok = 0, spec_rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const bool is_json = i % 2 == 0;
+    const std::vector<std::string>& corpus = is_json ? json : specs;
+    const std::string in =
+        mutate(corpus[rng.below(corpus.size())], corpus, rng);
+    try {
+      if (is_json) {
+        (void)Json::parse(in);
+        ++json_ok;
+      } else {
+        fault::Injector inj(1);
+        fault::apply_spec(inj, in);
+        ++spec_ok;
+      }
+    } catch (const JsonParseError&) {
+      EXPECT_TRUE(is_json) << "spec parser threw JsonParseError on " << in;
+      ++json_rejected;
+    } catch (const std::invalid_argument&) {
+      EXPECT_FALSE(is_json) << "Json::parse threw invalid_argument on " << in;
+      ++spec_rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unexpected exception on input '" << in
+                    << "': " << e.what();
+    }
+  }
+  // The mutations must exercise both outcomes of both parsers.
+  EXPECT_GT(json_ok, 0);
+  EXPECT_GT(json_rejected, 0);
+  EXPECT_GT(spec_ok, 0);
+  EXPECT_GT(spec_rejected, 0);
 }
 
 }  // namespace

@@ -31,19 +31,14 @@ run_config tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFG_SANITIZE=thread
   run_config asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFG_SANITIZE=address
 )
 
-# Two-executor conformance: the whole tier-1 suite must pass with the
-# task executor (work-stealing pool) substituted for thread-per-stage.
-# The env override reaches every test through GraphRuntime's kAuto
-# resolution, so this replays identical test bodies on the other backend.
-echo "==> conformance rerun under FG_EXECUTOR=tasks"
-(cd "$root/build-ci-release" && FG_EXECUTOR=tasks FG_TASK_WORKERS=4 \
-  ctest --output-on-failure -j "$jobs")
-
 # Observability round trip: run a small traced sort, validate both blobs
 # structurally (fgtrace --check exits nonzero on a malformed trace —
 # unpaired spans, missing thread names, round-id gaps), and keep the
 # bottleneck/occupancy report as one section of the benchmark artifact
 # (BENCH_sort.json is assembled from every labeled run further down).
+# Every artifact this script writes lands in $bench_dir, inside the
+# ignored build tree: they are single-shot numbers from this machine,
+# and fgbench is the tracked ledger.
 echo "==> traced sort + fgtrace check"
 bench_dir="$root/build-ci-release/bench-sort"
 rm -rf "$bench_dir"
@@ -284,37 +279,25 @@ rm -rf "$nd_dir"
     cat "$bench_dir/$section.json"
   done
   printf ']\n'
-} > "$root/BENCH_sort.json"
-grep -q '"disk":"stdio"' "$root/BENCH_sort.json"
-grep -q '"fabric":"tcp"' "$root/BENCH_sort.json"
-grep -q '"disk":"native"' "$root/BENCH_sort.json"
-echo "==> wrote BENCH_sort.json (backend-labeled wall time + occupancy)"
+} > "$bench_dir/BENCH_sort.json"
+grep -q '"disk":"stdio"' "$bench_dir/BENCH_sort.json"
+grep -q '"fabric":"tcp"' "$bench_dir/BENCH_sort.json"
+grep -q '"disk":"native"' "$bench_dir/BENCH_sort.json"
+echo "==> wrote $bench_dir/BENCH_sort.json (backend-labeled wall time +" \
+  "occupancy)"
 
 # Queue-hop gate: the wait-free SPSC channel must beat the mutex/condvar
 # queue on stage-to-stage conveyance cost, on this machine, today.  The
 # bench writes a JSON artifact recording both channel kinds' ns/op and
-# exits nonzero if the ring loses; an executor-labelled fgsort smoke run
-# (traced, so the per-worker task spans go through fgtrace --check too)
-# rides along so the artifact also pins the task backend's config block.
+# exits nonzero if the ring loses.
 echo "==> queue-hop bench gate (spsc vs mpmc)"
 "$root/build-ci-release/bench/bench_buffers" \
-  --gate="$root/BENCH_queue_hop.json"
-ex_dir="$root/build-ci-release/executor-check"
-rm -rf "$ex_dir"
-mkdir -p "$ex_dir"
-"$root/build-ci-release/tools/fgsort" --program dsort --nodes 4 \
-  --records 65536 --latency none --seed 29 --executor tasks --workers 4 \
-  --trace-out "$ex_dir/trace.json" --stats-json "$ex_dir/stats.json" \
-  > /dev/null
-grep -q '"executor":"tasks"' "$ex_dir/stats.json"
-"$root/build-ci-release/tools/fgtrace" --check \
-  "$ex_dir/trace.json" "$ex_dir/stats.json"
-rm -rf "$ex_dir"
-echo "==> wrote BENCH_queue_hop.json (spsc beats mpmc; tasks smoke ok)"
+  --gate="$bench_dir/BENCH_queue_hop.json"
+echo "==> wrote $bench_dir/BENCH_queue_hop.json (spsc beats mpmc)"
 
 # Serving gate: bring up a real fgserve, drive it with the closed-loop
 # load generator twice — a clean pass (every job must complete and
-# byte-verify; its numbers become BENCH_serve.json) and a chaos pass
+# byte-verify; its numbers go to BENCH_serve.json) and a chaos pass
 # (injected tenant faults plus abrupt client kills; faulted jobs must
 # FAIL alone, nothing else may be disturbed, zero buffer-audit
 # failures) — then SIGTERM the server.  The contract under test: the
@@ -337,7 +320,7 @@ srv_port=$(cat "$srv_dir/port.txt")
 echo "==> fgserve up on port $srv_port (pid $srv_pid)"
 "$root/build-ci-release/tools/fgserve_load" --port "$srv_port" \
   --clients 4 --jobs 6 --kinds pipeline,sort,permute \
-  --json "$root/BENCH_serve.json"
+  --json "$bench_dir/BENCH_serve.json"
 echo "==> serve chaos pass (tenant faults + client kills)"
 "$root/build-ci-release/tools/fgserve_load" --port "$srv_port" \
   --clients 4 --jobs 6 --kinds pipeline,sort,permute \
@@ -351,28 +334,22 @@ if [ "$srv_rc" -ne 0 ]; then
   exit 1
 fi
 grep -q 'final stats' "$srv_dir/server.log"
-grep -q '"bench":"serve"' "$root/BENCH_serve.json"
+grep -q '"bench":"serve"' "$bench_dir/BENCH_serve.json"
 rm -rf "$srv_dir"
-echo "==> wrote BENCH_serve.json (server drained clean, exit 0)"
+echo "==> wrote $bench_dir/BENCH_serve.json (server drained clean, exit 0)"
 
 # Chaos soak: replay the fault-injection suite under TSan with ten
 # distinct seeds.  Injection schedules are a pure function of the seed,
 # so each iteration exercises a different (but reproducible) failure
 # pattern; the disk-fault tests are parameterized over all disk
 # backends, so every seed soaks stdio, native, and (where the kernel
-# allows) io_uring alike.  Each seed runs twice — once
-# per executor backend — so the task pool's steal/park/abort paths soak
-# under TSan just like the dedicated-thread loops.  A seed that breaks
-# here reproduces locally with FG_CHAOS_SEED=<seed> (plus
-# FG_EXECUTOR=tasks for the task-pool leg) build-ci-tsan/tests/chaos_test.
-echo "==> chaos soak (tsan, 10 seeds x 2 executors)"
+# allows) io_uring alike.  A seed that breaks here reproduces locally
+# with FG_CHAOS_SEED=<seed> build-ci-tsan/tests/chaos_test.
+echo "==> chaos soak (tsan, 10 seeds)"
 for seed in 1 2 3 5 8 13 21 34 55 89; do
-  echo "==> chaos seed $seed (threads)"
+  echo "==> chaos seed $seed"
   FG_CHAOS_SEED=$seed "$root/build-ci-tsan/tests/chaos_test" \
     --gtest_brief=1
-  echo "==> chaos seed $seed (tasks)"
-  FG_CHAOS_SEED=$seed FG_EXECUTOR=tasks FG_TASK_WORKERS=4 \
-    "$root/build-ci-tsan/tests/chaos_test" --gtest_brief=1
 done
 
 echo "==> ci: all configurations passed"

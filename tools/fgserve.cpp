@@ -2,14 +2,17 @@
 //
 //   fgserve [--port P] [--slots N] [--queue N] [--watchdog-ms N]
 //           [--pool-quota BYTES] [--disk-quota BYTES]
-//           [--drain-deadline-ms N] [--job-workers N] [--root DIR]
-//           [--port-file PATH] [--verbose]
+//           [--drain-deadline-ms N] [--root DIR] [--port-file PATH]
+//           [--verbose]
 //
 // Runs until SIGTERM or SIGINT, then drains gracefully: admission stops
 // (new submits get REJECTED "draining"), running and queued jobs finish
 // or are cancelled at the drain deadline, every client hears its
 // results, and the process exits 0 with the final registry stats flushed
 // to stderr.  The CI chaos gate asserts exactly this exit path.
+//
+// Each job's graphs run one thread per stage, like every FG graph, for
+// as long as the job runs; --slots bounds how many jobs run at once.
 //
 // --port 0 (the default) binds an ephemeral port; --port-file writes the
 // bound port to a file so a driver script can find the server without a
@@ -37,8 +40,7 @@ void on_signal(int sig) { g_signal = sig; }
       "usage: fgserve [--port P] [--slots N] [--queue N]\n"
       "               [--watchdog-ms N] [--pool-quota BYTES]\n"
       "               [--disk-quota BYTES] [--drain-deadline-ms N]\n"
-      "               [--job-workers N] [--root DIR] [--port-file PATH]\n"
-      "               [--verbose]\n");
+      "               [--root DIR] [--port-file PATH] [--verbose]\n");
   std::exit(2);
 }
 
@@ -74,9 +76,6 @@ int main(int argc, char** argv) {
         opts.drain_deadline_ms = static_cast<std::uint32_t>(
             fg::util::parse_int(need(i), "--drain-deadline-ms", 0,
                                 3'600'000));
-      } else if (a == "--job-workers") {
-        opts.job_task_workers = static_cast<std::size_t>(
-            fg::util::parse_int(need(i), "--job-workers", 1, 64));
       } else if (a == "--root") {
         opts.root = need(i);
       } else if (a == "--port-file") {

@@ -27,7 +27,8 @@
 // Exit status: 0 iff every non-faulted, non-orphaned job completed
 // byte-verified, every faulted job failed as expected, and at least one
 // job completed.  --json writes the bench record (jobs/s, latency
-// percentiles, counters) consumed by the CI gate as BENCH_serve.json.
+// percentiles, counters); the CI gate writes it to
+// build-ci-release/bench-sort/BENCH_serve.json.
 #include "serve/client.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"

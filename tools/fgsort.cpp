@@ -33,14 +33,6 @@
 //     --progress SECS                   (heartbeat to stderr every SECS
 //                                        seconds: rounds/s, disk MB/s,
 //                                        queue depths)
-//     --executor threads|tasks          (worker backend; default resolves
-//                                        FG_EXECUTOR, then thread-per-
-//                                        stage.  tasks runs the stages as
-//                                        resumable tasks on a fixed
-//                                        work-stealing pool)
-//     --workers N                       (task-pool width; tasks executor
-//                                        only.  Default FG_TASK_WORKERS,
-//                                        then hardware concurrency)
 //     --channels auto|mpmc              (auto lets the plan pick the
 //                                        wait-free SPSC ring where it
 //                                        proved eligibility; mpmc forces
@@ -151,7 +143,6 @@ struct Options {
                "          [--fabric sim|tcp|shm] [--rank R]\n"
                "          [--peers host:port,...] [--shm-fd FD]\n"
                "          [--recv-timeout-ms N]\n"
-               "          [--executor threads|tasks] [--workers N]\n"
                "          [--channels auto|mpmc]\n"
                "          [--disk stdio|native|uring] [--direct]\n",
                argv0);
@@ -204,7 +195,17 @@ Options parse(int argc, char** argv) try {
     else if (a == "--stats") opt.stats = true;
     else if (a == "--stats-json") opt.stats_json = need(i);
     else if (a == "--keep") opt.keep_dir = need(i);
-    else if (a == "--fault-spec") opt.fault_spec = need(i);
+    else if (a == "--fault-spec") {
+      opt.fault_spec = need(i);
+      // Armed only per program run, after dataset generation; check the
+      // grammar now so a typo is a usage error, not a failed run.
+      fault::Injector probe(0);
+      try {
+        fault::apply_spec(probe, *opt.fault_spec);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(std::string("--fault-spec: ") + e.what());
+      }
+    }
     else if (a == "--watchdog-ms") opt.cfg.watchdog_ms = static_cast<std::uint32_t>(util::parse_int(need(i), "--watchdog-ms", 0, UINT32_MAX));
     else if (a == "--trace-out") opt.trace_out = need(i);
     else if (a == "--progress") opt.progress_secs = static_cast<int>(util::parse_int(need(i), "--progress", 1, 86400));
@@ -212,16 +213,6 @@ Options parse(int argc, char** argv) try {
     else if (a == "--rank") opt.rank = static_cast<int>(util::parse_int(need(i), "--rank", 0, (1 << 20) - 1));
     else if (a == "--disk") opt.disk = pdm::parse_disk_backend(need(i));
     else if (a == "--direct") opt.direct = true;
-    else if (a == "--executor") {
-      const std::string v = need(i);
-      if (v == "threads") opt.cfg.runtime.executor = ExecutorKind::kThreadPerStage;
-      else if (v == "tasks") opt.cfg.runtime.executor = ExecutorKind::kTasks;
-      else {
-        std::fprintf(stderr, "fgsort: unknown executor '%s'\n", v.c_str());
-        std::exit(2);
-      }
-    }
-    else if (a == "--workers") opt.cfg.runtime.task_workers = static_cast<std::size_t>(util::parse_int(need(i), "--workers", 1, 1 << 16));
     else if (a == "--channels") {
       const std::string v = need(i);
       if (v == "auto") opt.cfg.runtime.channels = ChannelPolicy::kAuto;
@@ -496,12 +487,6 @@ RunReport run_one(const std::string& program, const Options& opt) {
   if (opt.trace_out || opt.progress_secs > 0 || opt.stats_json) {
     session = std::make_shared<obs::Session>();
     cfg.obs = session.get();
-    // A traced task-pool run also gets the per-worker scheduling view
-    // ("tasks:wN" tracks of task-slice spans) on top of the stage tracks.
-    if (opt.trace_out &&
-        resolve_executor(cfg.runtime.executor) == ExecutorKind::kTasks) {
-      cfg.runtime.task_spans = true;
-    }
   }
   std::unique_ptr<Heartbeat> heartbeat;
   if (session && opt.progress_secs > 0) {
@@ -606,13 +591,6 @@ std::string stats_json_blob(const Options& opt,
   w.kv("direct", opt.direct);
   w.kv("watchdog_ms", opt.cfg.watchdog_ms);
   w.kv("fault_spec", opt.fault_spec ? *opt.fault_spec : std::string{});
-  const ExecutorKind ek = resolve_executor(opt.cfg.runtime.executor);
-  w.kv("executor", to_string(ek));
-  w.kv("task_workers",
-       ek == ExecutorKind::kTasks
-           ? static_cast<std::uint64_t>(
-                 resolve_task_workers(opt.cfg.runtime.task_workers))
-           : std::uint64_t{0});
   w.kv("channels",
        resolve_channels(opt.cfg.runtime.channels) == ChannelPolicy::kMpmcOnly
            ? "mpmc"
