@@ -79,6 +79,12 @@ void Fabric::send(NodeId src, NodeId dst, int tag,
 
 void Fabric::send_payload(NodeId src, NodeId dst, int tag,
                           std::span<const std::byte> data) {
+  if (data.size() > kMaxMessageBytes) {
+    throw std::length_error(
+        "fg::comm::Fabric::send: " + std::to_string(data.size()) +
+        "-byte message exceeds the " + std::to_string(kMaxMessageBytes) +
+        "-byte limit");
+  }
   check_node(src, "send");
   check_node(dst, "send");
   check_crash(src);

@@ -114,9 +114,16 @@ class Fabric {
 
   int size() const noexcept { return nodes_; }
 
+  /// Largest payload one message may carry.  This bounds outside input;
+  /// it is not a tuning knob.  send() rejects a larger payload with
+  /// std::length_error, and the tcp and shm receivers abort the run on a
+  /// header that declares more, before allocating for it.
+  static constexpr std::size_t kMaxMessageBytes = std::size_t{1} << 30;
+
   // -- point-to-point -------------------------------------------------------
 
   /// Buffered send: the payload is copied and the call returns immediately.
+  /// Throws std::length_error above kMaxMessageBytes.
   /// @param tag  application tag, must be >= 0
   void send(NodeId src, NodeId dst, int tag, std::span<const std::byte> data);
 

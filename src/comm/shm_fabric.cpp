@@ -476,6 +476,14 @@ void ShmFabric::receiver_loop(NodeId peer) {
       return;
     }
     if (sh.first != 0) {
+      if (sh.msg_bytes > kMaxMessageBytes) {
+        abort_from_peer("rank " + std::to_string(peer) +
+                            ": shared segment ring corrupt: message declares " +
+                            std::to_string(sh.msg_bytes) + " bytes, over the " +
+                            std::to_string(kMaxMessageBytes) + "-byte limit",
+                        /*warn=*/true, /*raise=*/true);
+        return;
+      }
       pending = pool_.acquire(sh.msg_bytes);
       pending_off = 0;
       pending_len = static_cast<std::size_t>(sh.msg_bytes);

@@ -375,8 +375,15 @@ void TcpFabric::receiver_loop(NodeId peer) {
                            : ""));
       return;
     }
+    // A corrupt stream has no resynchronization point: record why and
+    // abort the whole run.
+    const auto corrupt = [&](const std::string& what) {
+      abort_from_peer("rank " + std::to_string(peer) + ": corrupt stream: " +
+                          what,
+                      /*warn=*/true, /*broadcast=*/true);
+    };
     if (get_u32(hdr) != kFrameMagic) {
-      abort();  // stream corrupt: no way to resynchronize
+      corrupt("bad frame magic");
       return;
     }
     const auto type = std::to_integer<std::uint8_t>(hdr[4]);
@@ -384,6 +391,12 @@ void TcpFabric::receiver_loop(NodeId peer) {
     const std::uint32_t seq = get_u32(hdr + 9);
     const std::uint64_t len = get_u64(hdr + 13);
     const std::uint64_t delay_ns = get_u64(hdr + 21);
+    if (len > kMaxMessageBytes) {
+      corrupt("frame declares " + std::to_string(len) +
+              " payload bytes, over the " + std::to_string(kMaxMessageBytes) +
+              "-byte limit");
+      return;
+    }
     // The header's length is the size hint: the payload lands directly in
     // a recycled pool buffer, not a fresh allocation per frame.
     std::vector<std::byte> payload = pool_.acquire(len);
@@ -406,10 +419,12 @@ void TcpFabric::receiver_loop(NodeId peer) {
     // validated, not just DATA.  Checking DATA alone would let the data
     // frame *after* an ABORT broadcast mismatch expect_seq and escalate an
     // orderly drain into a spurious "frames lost" abort.
-    if (seq != expect_seq++) {
-      abort();  // frames lost or reordered: stream no longer trusted
+    if (seq != expect_seq) {
+      corrupt("frame sequence " + std::to_string(seq) + ", expected " +
+              std::to_string(expect_seq) + " (frames lost or reordered)");
       return;
     }
+    ++expect_seq;
     switch (type) {
       case kFrameData: {
         const util::TimePoint deliver_at =
@@ -432,15 +447,14 @@ void TcpFabric::receiver_loop(NodeId peer) {
         pool_.release(std::move(payload));
         break;
       default:
-        abort();
+        corrupt("unknown frame type " + std::to_string(type));
         return;
     }
   }
 }
 
-void TcpFabric::abort_from_peer(std::string detail, bool warn) {
-  // The peer that originated the abort already told everyone else (or, if
-  // it died, everyone sees the EOF themselves) — no re-broadcast.
+void TcpFabric::abort_from_peer(std::string detail, bool warn,
+                                bool broadcast) {
   {
     std::lock_guard<std::mutex> lock(detail_mutex_);
     if (abort_detail_.empty()) abort_detail_ = detail;
@@ -449,6 +463,12 @@ void TcpFabric::abort_from_peer(std::string detail, bool warn) {
     FG_LOG(kWarn) << "fg::comm::TcpFabric[rank " << rank_
                   << "]: aborting run: " << detail;
   }
+  if (broadcast) {
+    abort();
+    return;
+  }
+  // The peer that originated the abort already told everyone else (or, if
+  // it died, everyone sees the EOF themselves) — no re-broadcast.
   mark_aborted();
   mailbox_.abort();
 }

@@ -120,11 +120,14 @@ class TcpFabric final : public Fabric {
                    std::span<const std::byte> payload,
                    std::uint64_t delay_ns, bool best_effort);
   void receiver_loop(NodeId peer);
-  /// An abort arrived from (or was detected about) a peer: abort locally
-  /// without re-broadcasting.  `detail` records what the wire actually
-  /// showed (peer death mid-frame vs socket error) for diagnostics;
-  /// `warn` logs it (wire failures warn, deliberate ABORT frames don't).
-  void abort_from_peer(std::string detail, bool warn = true);
+  /// An abort arrived from (or was detected about) a peer.  `detail`
+  /// records what the wire actually showed (peer death mid-frame, a
+  /// socket error, a corrupt stream) for diagnostics; `warn` logs it
+  /// (wire failures warn, deliberate ABORT frames don't).  `broadcast`
+  /// also tells every peer, for a failure only this rank can see — a
+  /// corrupt stream; otherwise the abort stays local.
+  void abort_from_peer(std::string detail, bool warn = true,
+                       bool broadcast = false);
 
   NodeId rank_;
   TcpFabricOptions options_;

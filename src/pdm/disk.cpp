@@ -1,26 +1,33 @@
 #include "pdm/disk.hpp"
 
 #include "obs/span.hpp"
-#include "pdm/native_disk.hpp"
-#include "pdm/spindle_disk.hpp"
-#include "pdm/uring_disk.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
-#include <condition_variable>
+#include <cerrno>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 namespace fg::pdm {
 
+namespace {
+
+std::string errno_suffix() {
+  return std::string(": ") + std::strerror(errno);
+}
+
+}  // namespace
+
 const char* to_string(DiskBackend b) noexcept {
   switch (b) {
     case DiskBackend::kStdio: return "stdio";
     case DiskBackend::kNative: return "native";
-    case DiskBackend::kUring: return "uring";
   }
   return "?";
 }
@@ -28,43 +35,14 @@ const char* to_string(DiskBackend b) noexcept {
 DiskBackend parse_disk_backend(const std::string& name) {
   if (name == "stdio") return DiskBackend::kStdio;
   if (name == "native") return DiskBackend::kNative;
-  if (name == "uring") return DiskBackend::kUring;
   throw std::invalid_argument(
-      "fg::pdm::parse_disk_backend: expected stdio|native|uring, got '" +
-      name + "'");
+      "fg::pdm::parse_disk_backend: expected stdio|native, got '" + name +
+      "'");
 }
 
 std::unique_ptr<Disk> make_disk(DiskBackend backend, std::filesystem::path dir,
                                 util::LatencyModel model, bool direct) {
-  switch (backend) {
-    case DiskBackend::kStdio: {
-      if (direct) {
-        throw std::invalid_argument(
-            "fg::pdm::make_disk: O_DIRECT requires the native backend");
-      }
-      return std::make_unique<SpindleDisk>(std::move(dir), model);
-    }
-    case DiskBackend::kNative: {
-      NativeDiskOptions opts;
-      opts.direct = direct;
-      auto d = std::make_unique<NativeDisk>(std::move(dir), opts);
-      d->set_model(model);  // stored for symmetry; never charged
-      return d;
-    }
-    case DiskBackend::kUring: {
-      if (!UringDisk::available()) {
-        FG_LOG(kWarn) << "fg::pdm::make_disk: io_uring unavailable on this "
-                         "system; falling back to the native backend";
-        return make_disk(DiskBackend::kNative, std::move(dir), model, direct);
-      }
-      NativeDiskOptions opts;
-      opts.direct = direct;
-      auto d = std::make_unique<UringDisk>(std::move(dir), opts);
-      d->set_model(model);
-      return d;
-    }
-  }
-  throw std::invalid_argument("fg::pdm::make_disk: unknown backend");
+  return std::make_unique<Disk>(backend, std::move(dir), model, direct);
 }
 
 // -- ShortReadError ---------------------------------------------------------
@@ -115,51 +93,22 @@ File& File::operator=(File&& other) noexcept {
   return *this;
 }
 
-// -- IoHandle ---------------------------------------------------------------
-
-struct IoHandle::State {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done{false};
-  std::size_t bytes{0};
-  std::exception_ptr error;
-};
-
-bool IoHandle::done() const {
-  if (!state_) return false;
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->done;
-}
-
-std::size_t IoHandle::wait() {
-  if (!state_) {
-    throw std::logic_error("fg::pdm::IoHandle::wait: empty handle");
-  }
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait(lock, [this] { return state_->done; });
-  if (state_->error) std::rethrow_exception(state_->error);
-  return state_->bytes;
-}
-
 // -- Disk: lifecycle and knobs ----------------------------------------------
 
-struct Disk::AsyncRequest {
-  bool is_write{false};
-  const File* file{nullptr};
-  std::uint64_t offset{0};
-  std::span<std::byte> read_buf;
-  std::span<const std::byte> write_buf;
-  std::shared_ptr<IoHandle::State> state;
-};
-
-Disk::Disk(std::filesystem::path dir) : dir_(std::move(dir)) {
+Disk::Disk(DiskBackend backend, std::filesystem::path dir,
+           util::LatencyModel model, bool direct)
+    : backend_(backend), direct_(direct), dir_(std::move(dir)), model_(model) {
+  if (direct_ && backend_ != DiskBackend::kNative) {
+    throw std::invalid_argument(
+        "fg::pdm::Disk: O_DIRECT requires the native backend");
+  }
+#ifndef O_DIRECT
+  if (direct_) {
+    throw std::runtime_error(
+        "fg::pdm::Disk: O_DIRECT is not available on this platform");
+  }
+#endif
   std::filesystem::create_directories(dir_);
-}
-
-Disk::~Disk() {
-  // Backstop only: backend destructors must already have called
-  // stop_io(), because in-flight requests dispatch through their hooks.
-  stop_io();
 }
 
 util::LatencyModel Disk::model() const {
@@ -173,8 +122,12 @@ void Disk::set_model(util::LatencyModel m) {
 }
 
 void Disk::set_seek_aware(bool on) {
-  std::lock_guard<std::mutex> lock(config_mutex_);
-  seek_aware_ = on;
+  {
+    std::lock_guard<std::mutex> lock(config_mutex_);
+    seek_aware_ = on;
+  }
+  std::lock_guard<std::mutex> lock(spindle_mutex_);
+  head_open_id_ = 0;
 }
 
 bool Disk::seek_aware() const {
@@ -219,24 +172,62 @@ void Disk::reset_stats() {
   retry_stats_ = util::RetryStats{};
 }
 
-void Disk::record_busy(util::Duration d) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.busy += d;
+// -- Disk: the spindle --------------------------------------------------------
+
+std::unique_lock<std::mutex> Disk::spindle() {
+  if (backend_ != DiskBackend::kStdio) return {};
+  return std::unique_lock<std::mutex>(spindle_mutex_);
+}
+
+void Disk::charge_locked(const File& f, std::uint64_t offset,
+                         std::size_t bytes) {
+  const bool contiguous = seek_aware() && head_open_id_ == f.open_id() &&
+                          head_end_ == offset;
+  head_open_id_ = f.open_id();
+  head_end_ = offset + bytes;
+  const util::LatencyModel m = model();
+  if (m.is_free()) return;
+  util::Duration d = m.cost(bytes);
+  if (contiguous) d -= m.setup();  // the head is already there
+  if (d < util::Duration::zero()) d = util::Duration::zero();
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.busy += d;
+  }
+  if (d > util::Duration::zero()) std::this_thread::sleep_for(d);
 }
 
 // -- Disk: files ------------------------------------------------------------
+
+int Disk::open_path(const std::filesystem::path& path, int extra_flags) const {
+  int flags = O_RDWR | O_CLOEXEC | extra_flags;
+#ifdef O_DIRECT
+  if (direct_) flags |= O_DIRECT;
+#endif
+  const int fd = ::open(path.c_str(), flags, 0644);
+  if (fd < 0) {
+    if (direct_ && errno == EINVAL) {
+      throw std::runtime_error("fg::pdm::Disk: cannot open " + path.string() +
+                               " with O_DIRECT (filesystem does not support "
+                               "direct I/O)");
+    }
+    throw std::runtime_error("fg::pdm::Disk: cannot open " + path.string() +
+                             errno_suffix());
+  }
+  return fd;
+}
 
 // The name is copied before the open so that nothing can throw while the
 // new fd has no owner.
 File Disk::create(const std::string& name) {
   std::string owned = name;
-  return File(create_once(dir_ / name), next_open_id_.fetch_add(1),
-              std::move(owned));
+  return File(open_path(dir_ / name, O_CREAT | O_TRUNC),
+              next_open_id_.fetch_add(1), std::move(owned));
 }
 
 File Disk::open(const std::string& name) {
   std::string owned = name;
-  return File(open_once(dir_ / name), next_open_id_.fetch_add(1),
+  return File(open_path(dir_ / name, 0), next_open_id_.fetch_add(1),
               std::move(owned));
 }
 
@@ -250,7 +241,12 @@ void Disk::remove(const std::string& name) {
 
 void Disk::close(File& f) {
   if (!f.is_open()) return;
-  closing(f);
+  {
+    std::lock_guard<std::mutex> lock(spindle_mutex_);
+    if (head_open_id_ == f.open_id()) {
+      head_open_id_ = 0;  // the head position is no longer meaningful
+    }
+  }
   if (!f.close_fd()) {
     throw std::runtime_error("fg::pdm::Disk::close: close failed on " +
                              f.name());
@@ -274,16 +270,39 @@ void Disk::check_flush_fault(const char* what) const {
 std::uint64_t Disk::size(const File& f) const {
   if (!f.is_open()) throw std::logic_error("fg::pdm::Disk::size: closed file");
   check_flush_fault("size");
-  return size_once(f);
+  struct stat st;
+  if (::fstat(f.fd(), &st) != 0) {
+    throw std::runtime_error("fg::pdm::Disk::size: fstat failed on " +
+                             f.name() + errno_suffix());
+  }
+  return static_cast<std::uint64_t>(st.st_size);
 }
 
 void Disk::sync(const File& f) {
   if (!f.is_open()) throw std::logic_error("fg::pdm::Disk::sync: closed file");
   check_flush_fault("sync");
-  sync_once(f);
+  const auto lock = spindle();
+  if (::fdatasync(f.fd()) != 0) {
+    throw std::runtime_error("fg::pdm::Disk::sync: fdatasync failed on " +
+                             f.name() + errno_suffix());
+  }
 }
 
-// -- Disk: synchronous read/write (fault injection + retry loops) -----------
+void Disk::check_aligned(const char* what, const std::string& name,
+                         std::uint64_t offset, std::size_t bytes,
+                         const void* buf) const {
+  if (!direct_) return;
+  if (offset % kDirectAlign != 0 || bytes % kDirectAlign != 0 ||
+      reinterpret_cast<std::uintptr_t>(buf) % kDirectAlign != 0) {
+    throw std::invalid_argument(
+        std::string("fg::pdm::Disk::") + what + " on " + name +
+        ": O_DIRECT requires offset, length, and buffer aligned to " +
+        std::to_string(kDirectAlign) + " bytes (offset=" +
+        std::to_string(offset) + ", length=" + std::to_string(bytes) + ")");
+  }
+}
+
+// -- Disk: read/write (fault injection + retry loops) -----------------------
 
 std::size_t Disk::attempt_read(const File& f, std::uint64_t offset,
                                std::span<std::byte> out,
@@ -304,7 +323,23 @@ std::size_t Disk::attempt_read(const File& f, std::uint64_t offset,
     span = out.first(out.size() / 2);
     *injected_short = true;
   }
-  const std::size_t n = read_once(f, offset, span);
+  check_aligned("read", f.name(), offset, span.size(), span.data());
+  std::size_t n = 0;
+  {
+    auto lock = spindle();
+    while (n < span.size()) {
+      const ssize_t r = ::pread(f.fd(), span.data() + n, span.size() - n,
+                                static_cast<off_t>(offset + n));
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        throw std::runtime_error("fg::pdm::Disk::read: read failed on " +
+                                 f.name() + errno_suffix());
+      }
+      if (r == 0) break;  // EOF
+      n += static_cast<std::size_t>(r);
+    }
+    if (lock.owns_lock()) charge_locked(f, offset, n);
+  }
   if (n != span.size()) {
     *injected_short = false;  // real EOF inside the span wins
   }
@@ -393,7 +428,22 @@ std::size_t Disk::attempt_write(const File& f, std::uint64_t offset,
     span = data.first(data.size() / 2);
     *injected_short = true;
   }
-  const std::size_t n = write_once(f, offset, span);
+  check_aligned("write", f.name(), offset, span.size(), span.data());
+  std::size_t n = 0;
+  {
+    auto lock = spindle();
+    while (n < span.size()) {
+      const ssize_t w = ::pwrite(f.fd(), span.data() + n, span.size() - n,
+                                 static_cast<off_t>(offset + n));
+      if (w < 0) {
+        if (errno == EINTR) continue;
+        throw std::runtime_error("fg::pdm::Disk::write: write failed on " +
+                                 f.name() + errno_suffix());
+      }
+      n += static_cast<std::size_t>(w);
+    }
+    if (lock.owns_lock()) charge_locked(f, offset, n);
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.write_ops;
@@ -457,168 +507,6 @@ void Disk::write(const File& f, std::uint64_t offset,
     retry_stats_.merge(local);
     return;
   }
-}
-
-// -- Disk: async request path -----------------------------------------------
-
-void Disk::set_io_workers(int n) {
-  if (n < 1) {
-    throw std::invalid_argument("fg::pdm::Disk::set_io_workers: need >= 1");
-  }
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  if (!io_threads_.empty()) {
-    throw std::logic_error(
-        "fg::pdm::Disk::set_io_workers: worker pool already started");
-  }
-  io_workers_ = n;
-}
-
-std::size_t Disk::io_queue_depth() const {
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  return io_queue_.size() + io_inflight_;
-}
-
-IoHandle Disk::submit(AsyncRequest req) {
-  if (!req.file->is_open()) {
-    throw std::logic_error("fg::pdm::Disk: async request on a closed file");
-  }
-  req.state = std::make_shared<IoHandle::State>();
-  IoHandle handle(req.state);
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    if (io_stop_) {
-      throw std::logic_error("fg::pdm::Disk: async request after shutdown");
-    }
-    if (io_threads_.empty()) {
-      io_threads_.reserve(static_cast<std::size_t>(io_workers_));
-      for (int i = 0; i < io_workers_; ++i) {
-        io_threads_.emplace_back([this] { io_worker(); });
-      }
-    }
-    io_queue_.push_back(std::move(req));
-  }
-  io_cv_.notify_one();
-  return handle;
-}
-
-IoHandle Disk::read_async(const File& f, std::uint64_t offset,
-                          std::span<std::byte> out) {
-  AsyncRequest req;
-  req.is_write = false;
-  req.file = &f;
-  req.offset = offset;
-  req.read_buf = out;
-  return submit(std::move(req));
-}
-
-IoHandle Disk::write_async(const File& f, std::uint64_t offset,
-                           std::span<const std::byte> data) {
-  AsyncRequest req;
-  req.is_write = true;
-  req.file = &f;
-  req.offset = offset;
-  req.write_buf = data;
-  return submit(std::move(req));
-}
-
-void Disk::io_worker() {
-  for (;;) {
-    AsyncRequest req;
-    {
-      std::unique_lock<std::mutex> lock(io_mutex_);
-      io_cv_.wait(lock, [this] { return io_stop_ || !io_queue_.empty(); });
-      if (io_queue_.empty()) return;  // stopped and drained
-      req = std::move(io_queue_.front());
-      io_queue_.pop_front();
-      ++io_inflight_;
-    }
-    std::size_t bytes = 0;
-    std::exception_ptr error;
-    try {
-      if (req.is_write) {
-        write(*req.file, req.offset, req.write_buf);
-        bytes = req.write_buf.size();
-      } else {
-        bytes = read(*req.file, req.offset, req.read_buf);
-      }
-    } catch (...) {
-      error = std::current_exception();
-    }
-    // Drop the inflight count before publishing completion: a caller
-    // returning from wait() must observe io_queue_depth() == 0 once the
-    // last request is done.
-    {
-      std::lock_guard<std::mutex> lock(io_mutex_);
-      --io_inflight_;
-    }
-    {
-      std::lock_guard<std::mutex> lock(req.state->mutex);
-      req.state->bytes = bytes;
-      req.state->error = error;
-      req.state->done = true;
-    }
-    req.state->cv.notify_all();
-  }
-}
-
-// -- Disk: subclass async-path support ---------------------------------------
-
-fault::Injector* Disk::fault_injector(int* node_out) const {
-  std::lock_guard<std::mutex> lock(config_mutex_);
-  if (node_out != nullptr) *node_out = fault_node_;
-  return injector_;
-}
-
-void Disk::note_read_attempt(std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.read_ops;
-  stats_.bytes_read += bytes;
-}
-
-void Disk::note_write_attempt(std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.write_ops;
-  stats_.bytes_written += bytes;
-}
-
-void Disk::merge_retry_stats(const util::RetryStats& s) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  retry_stats_.merge(s);
-}
-
-void Disk::charge_write_budget(std::size_t bytes) {
-  util::ByteBudget* budget;
-  {
-    std::lock_guard<std::mutex> lock(config_mutex_);
-    budget = write_budget_;
-  }
-  if (budget != nullptr) budget->charge(bytes, "disk write");
-}
-
-IoHandle Disk::new_handle() {
-  return IoHandle(std::make_shared<IoHandle::State>());
-}
-
-void Disk::finish_handle(const IoHandle& h, std::size_t bytes,
-                         std::exception_ptr error) noexcept {
-  {
-    std::lock_guard<std::mutex> lock(h.state_->mutex);
-    h.state_->bytes = bytes;
-    h.state_->error = error;
-    h.state_->done = true;
-  }
-  h.state_->cv.notify_all();
-}
-
-void Disk::stop_io() noexcept {
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    io_stop_ = true;
-    threads.swap(io_threads_);
-  }
-  io_cv_.notify_all();
-  for (auto& t : threads) t.join();  // workers drain the queue, then exit
 }
 
 }  // namespace fg::pdm

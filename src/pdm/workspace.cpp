@@ -40,9 +40,6 @@ Workspace::Workspace(std::filesystem::path root, int nodes,
                                disk_model, direct));
     disks_.back()->set_node(i);
   }
-  // Report what make_disk actually built (kUring falls back to kNative
-  // on systems without io_uring).
-  if (!disks_.empty()) backend_ = disks_.front()->backend();
 }
 
 Workspace::~Workspace() {

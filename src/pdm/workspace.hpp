@@ -31,10 +31,6 @@ class Workspace {
   Workspace& operator=(const Workspace&) = delete;
 
   int nodes() const noexcept { return static_cast<int>(disks_.size()); }
-  /// The backend actually constructed — kUring requests resolve to
-  /// kNative where io_uring is unavailable, and this reports the result
-  /// (tools record it so e.g. CI can tell a real uring run from the
-  /// fallback).
   DiskBackend backend() const noexcept { return backend_; }
   Disk& disk(int node) { return *disks_.at(static_cast<std::size_t>(node)); }
   const Disk& disk(int node) const {

@@ -7,6 +7,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 
 namespace fg::serve {
@@ -56,14 +59,18 @@ std::string get_string_field(const util::Json& j, std::string_view key,
   return f == nullptr ? std::move(fallback) : f->string();
 }
 
-void require_range(std::uint64_t v, std::uint64_t min, std::uint64_t max,
-                   const char* what) {
+/// An optional u64 field, range-checked before the caller narrows it.
+std::uint64_t get_ranged_field(const util::Json& j, const char* key,
+                               std::uint64_t fallback, std::uint64_t min,
+                               std::uint64_t max) {
+  const std::uint64_t v = get_u64_field(j, key, fallback);
   if (v < min || v > max) {
-    throw std::invalid_argument("fg::serve::JobSpec: " + std::string(what) +
+    throw std::invalid_argument("fg::serve::JobSpec: " + std::string(key) +
                                 " must be in [" + std::to_string(min) + ", " +
                                 std::to_string(max) + "], got " +
                                 std::to_string(v));
   }
+  return v;
 }
 
 }  // namespace
@@ -178,35 +185,36 @@ JobSpec JobSpec::from_json(const util::Json& j) {
     throw std::invalid_argument("fg::serve::JobSpec: unknown kind '" + s.kind +
                                 "' (want sort|permute|pipeline)");
   }
-  s.records = get_u64_field(j, "records", s.records);
-  require_range(s.records, 1, 1u << 22, "records");
+  s.records = get_ranged_field(j, "records", s.records, 1, 1u << 22);
   s.record_bytes = static_cast<std::uint32_t>(
-      get_u64_field(j, "record_bytes", s.record_bytes));
-  require_range(s.record_bytes, 16, 4096, "record_bytes");
-  s.nodes = static_cast<int>(
-      get_u64_field(j, "nodes", static_cast<std::uint64_t>(s.nodes)));
-  require_range(static_cast<std::uint64_t>(s.nodes), 1, 16, "nodes");
+      get_ranged_field(j, "record_bytes", s.record_bytes, 16, 4096));
+  s.nodes = static_cast<int>(get_ranged_field(
+      j, "nodes", static_cast<std::uint64_t>(s.nodes), 1, 16));
   s.seed = get_u64_field(j, "seed", s.seed);
-  s.stages = static_cast<std::uint32_t>(get_u64_field(j, "stages", s.stages));
-  require_range(s.stages, 1, 64, "stages");
-  s.rounds = get_u64_field(j, "rounds", s.rounds);
-  require_range(s.rounds, 1, 1u << 20, "rounds");
+  s.stages = static_cast<std::uint32_t>(
+      get_ranged_field(j, "stages", s.stages, 1, 64));
+  s.rounds = get_ranged_field(j, "rounds", s.rounds, 1, 1u << 20);
   s.buffer_bytes = static_cast<std::size_t>(
-      get_u64_field(j, "buffer_bytes", s.buffer_bytes));
-  require_range(s.buffer_bytes, 8, 1u << 26, "buffer_bytes");
+      get_ranged_field(j, "buffer_bytes", s.buffer_bytes, 8, 1u << 26));
   s.num_buffers = static_cast<std::size_t>(
-      get_u64_field(j, "num_buffers", s.num_buffers));
-  require_range(s.num_buffers, 1, 1024, "num_buffers");
+      get_ranged_field(j, "num_buffers", s.num_buffers, 1, 1024));
   s.work_us = static_cast<std::uint32_t>(
-      get_u64_field(j, "work_us", s.work_us));
-  require_range(s.work_us, 0, 10'000'000, "work_us");
+      get_ranged_field(j, "work_us", s.work_us, 0, 10'000'000));
   if (const util::Json* f = j.find("stall_stage")) {
+    // Checked as a double: converting an out-of-range one to int is UB.
     const double v = f->number();
+    if (v != std::floor(v) || v < -1 || v > s.stages - 1.0) {
+      char got[32];
+      std::snprintf(got, sizeof got, "%g", v);
+      throw std::invalid_argument(
+          "fg::serve::JobSpec: stall_stage must be an integer in [-1, " +
+          std::to_string(s.stages - 1) + "], got " + got);
+    }
     s.stall_stage = static_cast<std::int32_t>(v);
   }
   s.fault_spec = get_string_field(j, "fault_spec", s.fault_spec);
   s.watchdog_ms = static_cast<std::uint32_t>(
-      get_u64_field(j, "watchdog_ms", s.watchdog_ms));
+      get_ranged_field(j, "watchdog_ms", s.watchdog_ms, 0, UINT32_MAX));
   s.pool_quota_bytes = get_u64_field(j, "pool_quota_bytes",
                                      s.pool_quota_bytes);
   s.disk_quota_bytes = get_u64_field(j, "disk_quota_bytes",

@@ -1,7 +1,6 @@
 #include "sort/csort.hpp"
 
 #include "core/fg.hpp"
-#include "pdm/aio.hpp"
 #include "sort/dataset.hpp"
 #include "sort/kernels.hpp"
 #include "util/timer.hpp"
@@ -122,6 +121,30 @@ void merge_column(Buffer& b, const Geo& g) {
   b.swap_aux();
 }
 
+/// The write stage of passes 1 and 2.  Gather, per local column m, the P
+/// chunks this round received for it (one per source) into the auxiliary
+/// block — free once communicate has sent it — and write that slice at
+/// its place in the column-major file, so the next pass reads whole
+/// columns sequentially.  Each received chunk is sorted and lands at a
+/// multiple of r/s records within its column, which is what lets steps 3
+/// and 5 merge the column instead of sorting it.
+void write_column_slices(pdm::Disk& disk, const pdm::File& f, Buffer& b,
+                         const Geo& g) {
+  const std::uint64_t t = b.round();
+  const std::byte* src = b.contents().data();
+  const std::uint64_t slice = static_cast<std::uint64_t>(g.p) * g.chunk;
+  const std::span<std::byte> gathered = b.aux().first(slice * g.rec);
+  for (std::uint64_t m = 0; m < g.cpn; ++m) {
+    for (int p = 0; p < g.p; ++p) {
+      const auto pu = static_cast<std::uint64_t>(p);
+      std::memcpy(gathered.data() + pu * g.chunk * g.rec,
+                  src + (pu * g.blk_records() + m * g.chunk) * g.rec,
+                  g.chunk * g.rec);
+    }
+    disk.write(f, (m * g.r + t * slice) * g.rec, gathered);
+  }
+}
+
 void instrument_graph(PipelineGraph& graph, const SortConfig& cfg,
                       comm::Fabric& fabric) {
   graph.set_runtime_options(cfg.runtime);
@@ -186,18 +209,10 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
 
       // Column t*P+me := this node's local records [t*r, (t+1)*r); any
       // fixed initial assignment is a legal columnsort starting point.
-      // The scan is sequential, so read-ahead keeps the next columns in
-      // flight while this one is sorted and shuffled.
-      pdm::ReadAhead read_ahead(
-          disk, input, g.col_bytes(),
-          [&](std::uint64_t round, std::uint64_t* offset, std::size_t* bytes) {
-            if (round >= g.cpn) return false;
-            *offset = round * g.col_bytes();
-            *bytes = static_cast<std::size_t>(g.col_bytes());
-            return true;
-          });
       MapStage read("read", [&](Buffer& b) {
-        b.set_size(read_ahead.next(b.data().first(g.col_bytes())));
+        disk.read_exact(input, b.round() * g.col_bytes(),
+                        b.data().first(g.col_bytes()));
+        b.set_size(g.col_bytes());
         return StageAction::kConvey;
       });
 
@@ -234,43 +249,10 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
         return StageAction::kConvey;
       });
 
-      // Column-major intermediate layout: gather, per local column m, the
-      // P received chunks (one per source of this round) into a write-
-      // behind slot and launch the column slices as async writes, so pass
-      // 2 reads whole columns sequentially and the disk writes round t
-      // while round t+1 is communicated.  Each received chunk is sorted
-      // and lands at a multiple of r/s records within its column, which
-      // is what lets step 3 merge the column instead of sorting it.
-      pdm::WriteBehind write_behind(disk, p1, g.col_bytes());
-      MapStage write(
-          "write",
-          [&](Buffer& b) {
-            const std::uint64_t t = b.round();
-            auto slot = write_behind.stage();
-            const std::byte* src = b.contents().data();
-            const std::uint64_t slice =
-                static_cast<std::uint64_t>(g.p) * g.chunk;
-            std::vector<pdm::WriteBehind::Piece> pieces;
-            pieces.reserve(g.cpn);
-            for (std::uint64_t m = 0; m < g.cpn; ++m) {
-              for (int p = 0; p < g.p; ++p) {
-                std::memcpy(slot.data() +
-                                (m * slice +
-                                 static_cast<std::uint64_t>(p) * g.chunk) *
-                                    g.rec,
-                            src + (static_cast<std::uint64_t>(p) *
-                                       g.blk_records() +
-                                   m * g.chunk) * g.rec,
-                            g.chunk * g.rec);
-              }
-              pieces.push_back(pdm::WriteBehind::Piece{
-                  (m * g.r + t * slice) * g.rec, m * slice * g.rec,
-                  slice * g.rec});
-            }
-            write_behind.submit(pieces.data(), pieces.size());
-            return StageAction::kConvey;
-          },
-          [&](PipelineId) { write_behind.drain(); });
+      MapStage write("write", [&](Buffer& b) {
+        write_column_slices(disk, p1, b, g);
+        return StageAction::kConvey;
+      });
 
       pl.add_stage(read);
       pl.add_stage(sort_stage);
@@ -309,18 +291,11 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
       Pipeline& pl = graph.add_pipeline(pc);
 
       // Pass 1 left the intermediate file column-major: my column with
-      // local index t is one contiguous region, so the scan is sequential
-      // and read-ahead applies directly.
-      pdm::ReadAhead read_ahead(
-          disk, p1, g.col_bytes(),
-          [&](std::uint64_t round, std::uint64_t* offset, std::size_t* bytes) {
-            if (round >= g.cpn) return false;
-            *offset = round * g.col_bytes();
-            *bytes = static_cast<std::size_t>(g.col_bytes());
-            return true;
-          });
+      // local index t is one contiguous region.
       MapStage read("read", [&](Buffer& b) {
-        b.set_size(read_ahead.next(b.data().first(g.col_bytes())));
+        disk.read_exact(p1, b.round() * g.col_bytes(),
+                        b.data().first(g.col_bytes()));
+        b.set_size(g.col_bytes());
         return StageAction::kConvey;
       });
 
@@ -355,39 +330,10 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
         return StageAction::kConvey;
       });
 
-      // Same column-major gather-and-slice as pass 1's write, into p2,
-      // through the same write-behind slot scheme; step 5 merges the
-      // sorted chunks it places.
-      pdm::WriteBehind write_behind(disk, p2, g.col_bytes());
-      MapStage write(
-          "write",
-          [&](Buffer& b) {
-            const std::uint64_t t = b.round();
-            auto slot = write_behind.stage();
-            const std::byte* src = b.contents().data();
-            const std::uint64_t slice =
-                static_cast<std::uint64_t>(g.p) * g.chunk;
-            std::vector<pdm::WriteBehind::Piece> pieces;
-            pieces.reserve(g.cpn);
-            for (std::uint64_t m = 0; m < g.cpn; ++m) {
-              for (int p = 0; p < g.p; ++p) {
-                std::memcpy(slot.data() +
-                                (m * slice +
-                                 static_cast<std::uint64_t>(p) * g.chunk) *
-                                    g.rec,
-                            src + (static_cast<std::uint64_t>(p) *
-                                       g.blk_records() +
-                                   m * g.chunk) * g.rec,
-                            g.chunk * g.rec);
-              }
-              pieces.push_back(pdm::WriteBehind::Piece{
-                  (m * g.r + t * slice) * g.rec, m * slice * g.rec,
-                  slice * g.rec});
-            }
-            write_behind.submit(pieces.data(), pieces.size());
-            return StageAction::kConvey;
-          },
-          [&](PipelineId) { write_behind.drain(); });
+      MapStage write("write", [&](Buffer& b) {
+        write_column_slices(disk, p2, b, g);
+        return StageAction::kConvey;
+      });
 
       pl.add_stage(read);
       pl.add_stage(sort_stage);
@@ -428,16 +374,10 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
       Pipeline& pl = graph.add_pipeline(pc);
 
       // p2 is column-major too: one contiguous read per column.
-      pdm::ReadAhead read_ahead(
-          disk, p2, g.col_bytes(),
-          [&](std::uint64_t round, std::uint64_t* offset, std::size_t* bytes) {
-            if (round >= g.cpn) return false;
-            *offset = round * g.col_bytes();
-            *bytes = static_cast<std::size_t>(g.col_bytes());
-            return true;
-          });
       MapStage read("read", [&](Buffer& b) {
-        b.set_size(read_ahead.next(b.data().first(g.col_bytes())));
+        disk.read_exact(p2, b.round() * g.col_bytes(),
+                        b.data().first(g.col_bytes()));
+        b.set_size(g.col_bytes());
         return StageAction::kConvey;
       });
 
@@ -533,40 +473,28 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
         return StageAction::kConvey;
       });
 
-      // The received segments are copied (headers stripped) into a
-      // write-behind slot; each segment becomes one positioned async
-      // write at its striped home.
-      pdm::WriteBehind write_behind(
-          disk, out, std::max<std::size_t>(g.col_bytes(), p3cap));
-      MapStage write(
-          "write",
-          [&](Buffer& b) {
-            const std::byte* base = b.contents().data();
-            auto slot = write_behind.stage();
-            std::vector<pdm::WriteBehind::Piece> pieces;
-            std::size_t off = static_cast<std::size_t>(g.p) * 8;
-            std::size_t staged = 0;
-            for (int pp = 0; pp < g.p; ++pp) {
-              std::uint64_t seg;
-              std::memcpy(&seg, base + static_cast<std::size_t>(pp) * 8, 8);
-              const std::size_t seg_end = off + seg;
-              while (off < seg_end) {
-                std::uint64_t gpos;
-                std::uint32_t c;
-                std::memcpy(&gpos, base + off, 8);
-                std::memcpy(&c, base + off + 8, 4);
-                const std::size_t bytes = std::size_t{c} * g.rec;
-                std::memcpy(slot.data() + staged, base + off + 12, bytes);
-                pieces.push_back(pdm::WriteBehind::Piece{
-                    layout.local_byte_offset(gpos), staged, bytes});
-                staged += bytes;
-                off += 12 + bytes;
-              }
-            }
-            write_behind.submit(pieces.data(), pieces.size());
-            return StageAction::kConvey;
-          },
-          [&](PipelineId) { write_behind.drain(); });
+      // Each received segment is written straight from the buffer, one
+      // positioned write at its striped home.
+      MapStage write("write", [&](Buffer& b) {
+        const std::byte* base = b.contents().data();
+        std::size_t off = static_cast<std::size_t>(g.p) * 8;
+        for (int pp = 0; pp < g.p; ++pp) {
+          std::uint64_t seg;
+          std::memcpy(&seg, base + static_cast<std::size_t>(pp) * 8, 8);
+          const std::size_t seg_end = off + seg;
+          while (off < seg_end) {
+            std::uint64_t gpos;
+            std::uint32_t c;
+            std::memcpy(&gpos, base + off, 8);
+            std::memcpy(&c, base + off + 8, 4);
+            const std::size_t bytes = std::size_t{c} * g.rec;
+            disk.write(out, layout.local_byte_offset(gpos),
+                       {base + off + 12, bytes});
+            off += 12 + bytes;
+          }
+        }
+        return StageAction::kConvey;
+      });
 
       pl.add_stage(read);
       pl.add_stage(sort_stage);

@@ -1,7 +1,6 @@
 #include "sort/dsort.hpp"
 
 #include "core/fg.hpp"
-#include "pdm/aio.hpp"
 #include "sort/dataset.hpp"
 #include "sort/kernels.hpp"
 #include "sort/splitters.hpp"
@@ -191,25 +190,21 @@ SortResult run_dsort(comm::Cluster& cluster, pdm::Workspace& ws,
       Pipeline& rp = graph.add_pipeline(recv_cfg);
 
       // --- send pipeline: read -> permute -> send -----------------------
-      // Read-ahead: the scan is strictly sequential, so keep the next
-      // rounds' blocks in flight while this round is being partitioned.
+      // The scan is sequential: each round reads the next block of
+      // records straight into the buffer, while the buffers ahead of it
+      // are partitioned and sent.
       const std::uint64_t local_records = layout.node_records(me, cfg.records);
-      pdm::ReadAhead read_ahead(
-          disk, input, cfg.buffer_records * rec,
-          [&](std::uint64_t round, std::uint64_t* offset, std::size_t* bytes) {
-            const std::uint64_t start = round * cfg.buffer_records;
-            if (start >= local_records) return false;
-            const std::uint64_t n =
-                std::min<std::uint64_t>(cfg.buffer_records,
-                                        local_records - start);
-            *offset = start * rec;
-            *bytes = static_cast<std::size_t>(n * rec);
-            return true;
-          });
+      std::uint64_t read_records = 0;
       MapStage read("read", [&](Buffer& b) {
-        const std::size_t n = read_ahead.next(b.data());
-        if (n == 0) return StageAction::kRecycleAndClose;
-        b.set_size(n);
+        if (read_records == local_records) {
+          return StageAction::kRecycleAndClose;
+        }
+        const std::uint64_t n = std::min<std::uint64_t>(
+            cfg.buffer_records, local_records - read_records);
+        const auto bytes = static_cast<std::size_t>(n * rec);
+        disk.read_exact(input, read_records * rec, b.data().first(bytes));
+        read_records += n;
+        b.set_size(bytes);
         return StageAction::kConvey;
       });
 
@@ -301,25 +296,17 @@ SortResult run_dsort(comm::Cluster& cluster, pdm::Workspace& ws,
         return StageAction::kConvey;
       });
 
-      // Write-behind: stage the sorted run into a slot and let the I/O
-      // workers write it while the next run is received and sorted.  The
-      // flush hook is the checked barrier before the runs file closes.
-      pdm::WriteBehind write_behind(disk, runs_file, cfg.buffer_records * rec);
+      // Each sorted run goes to disk straight from its buffer while the
+      // next run is received and sorted.
       std::uint64_t write_off = 0;
-      MapStage write(
-          "write",
-          [&](Buffer& b) {
-            auto slot = write_behind.stage();
-            std::memcpy(slot.data(), b.contents().data(), b.size());
-            write_behind.submit(
-                {pdm::WriteBehind::Piece{write_off * rec, 0, b.size()}});
-            const std::uint64_t n = b.size() / rec;
-            st.runs.push_back(Run{write_off, n});
-            st.received_records += n;
-            write_off += n;
-            return StageAction::kConvey;
-          },
-          [&](PipelineId) { write_behind.drain(); });
+      MapStage write("write", [&](Buffer& b) {
+        disk.write(runs_file, write_off * rec, b.contents());
+        const std::uint64_t n = b.size() / rec;
+        st.runs.push_back(Run{write_off, n});
+        st.received_records += n;
+        write_off += n;
+        return StageAction::kConvey;
+      });
 
       rp.add_stage(receive);
       rp.add_stage(sort_stage);
@@ -362,37 +349,24 @@ SortResult run_dsort(comm::Cluster& cluster, pdm::Workspace& ws,
       PipelineGraph graph;
 
       // Vertical pipelines: one per sorted run, with a single *virtual*
-      // read stage shared by all of them.  The buffer's pipeline id picks
-      // the run to read from.
+      // read stage shared by all of them, so one thread reads every run.
+      // The buffer's pipeline id picks the run; a per-run cursor says
+      // where its next block starts.
       const std::size_t k = st.runs.size();
       std::vector<Pipeline*> verticals;
       verticals.reserve(k);
-      // One single-slot read-ahead per run: each run's scan is sequential
-      // within the runs file, so its next block prefetches while the
-      // merge drains the current one.
-      std::vector<std::unique_ptr<pdm::ReadAhead>> run_ahead;
-      run_ahead.reserve(k);
-      for (std::size_t v = 0; v < k; ++v) {
-        const Run run = st.runs[v];
-        run_ahead.push_back(std::make_unique<pdm::ReadAhead>(
-            disk, runs_file, cfg.merge_buffer_records * rec,
-            [&, run](std::uint64_t round, std::uint64_t* offset,
-                     std::size_t* bytes) {
-              const std::uint64_t start = round * cfg.merge_buffer_records;
-              if (start >= run.count) return false;
-              const std::uint64_t n = std::min<std::uint64_t>(
-                  cfg.merge_buffer_records, run.count - start);
-              *offset = (run.offset + start) * rec;
-              *bytes = static_cast<std::size_t>(n * rec);
-              return true;
-            },
-            /*depth=*/1));
-      }
+      std::vector<std::uint64_t> run_read(k, 0);  // records read, per run
       MapStage vread("read-run", [&](Buffer& b) {
-        const auto run_index = static_cast<std::size_t>(b.pipeline());
-        const std::size_t n = run_ahead[run_index]->next(b.data());
-        if (n == 0) return StageAction::kRecycleAndClose;
-        b.set_size(n);
+        const auto v = static_cast<std::size_t>(b.pipeline());
+        const Run run = st.runs[v];
+        if (run_read[v] == run.count) return StageAction::kRecycleAndClose;
+        const std::uint64_t n = std::min<std::uint64_t>(
+            cfg.merge_buffer_records, run.count - run_read[v]);
+        const auto bytes = static_cast<std::size_t>(n * rec);
+        disk.read_exact(runs_file, (run.offset + run_read[v]) * rec,
+                        b.data().first(bytes));
+        run_read[v] += n;
+        b.set_size(bytes);
         return StageAction::kConvey;
       });
 
@@ -473,18 +447,10 @@ SortResult run_dsort(comm::Cluster& cluster, pdm::Workspace& ws,
         }
       });
 
-      pdm::WriteBehind write_behind(disk, out_file,
-                                    std::size_t{cfg.block_records} * rec);
-      MapStage write(
-          "write",
-          [&](Buffer& b) {
-            auto slot = write_behind.stage();
-            std::memcpy(slot.data(), b.contents().data(), b.size());
-            write_behind.submit({pdm::WriteBehind::Piece{
-                layout.local_byte_offset(b.tag()), 0, b.size()}});
-            return StageAction::kConvey;
-          },
-          [&](PipelineId) { write_behind.drain(); });
+      MapStage write("write", [&](Buffer& b) {
+        disk.write(out_file, layout.local_byte_offset(b.tag()), b.contents());
+        return StageAction::kConvey;
+      });
 
       rp.add_stage(receive);
       rp.add_stage(write);

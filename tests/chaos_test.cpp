@@ -13,7 +13,7 @@
 // different (still deterministic) schedule; the CI soak loops over ten.
 #include "comm/cluster.hpp"
 #include "core/fg.hpp"
-#include "pdm/uring_disk.hpp"
+#include "pdm/workspace.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "sort/csort.hpp"
@@ -72,25 +72,17 @@ void arm_transient(fault::Injector& inj) {
   inj.arm(fault::kFabricDelay, fault::Rule::with_probability(0.05));
 }
 
-// Disk-fault chaos runs on all three backends: fault injection and
-// retries live in the Disk base class, so the absorb/abort/custody
-// guarantees must hold whether stdio, pread/pwrite, or the io_uring
-// ring sits underneath.  The uring rows skip where the ring is missing.
+// Disk-fault chaos runs on both backends: the absorb/abort/custody
+// guarantees must hold with and without the spindle.
 class ChaosSort : public ::testing::TestWithParam<const char*> {
  protected:
-  void SetUp() override {
-    if (backend() == pdm::DiskBackend::kUring &&
-        !pdm::UringDisk::available()) {
-      GTEST_SKIP() << "io_uring unavailable on this system";
-    }
-  }
   pdm::DiskBackend backend() const {
     return pdm::parse_disk_backend(GetParam());
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, ChaosSort,
-                         ::testing::Values("stdio", "native", "uring"),
+                         ::testing::Values("stdio", "native"),
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return std::string(i.param);
                          });
@@ -169,6 +161,26 @@ TEST_P(ChaosSort, DsortPermanentFaultAbortsRun) {
   // the fabric so workers blocked in collectives unwind too) and the
   // exhausted counter records the failed operation.
   EXPECT_THROW(sort::run_dsort(cluster, ws, cfg), fault::TransientError);
+  EXPECT_GT(ws.total_retry_stats().exhausted, 0u);
+}
+
+// csort's write stages issue many positioned writes per round; a write
+// that exhausts its retries there must fail the run the same way.
+TEST_P(ChaosSort, CsortPermanentFaultAbortsRun) {
+  sort::SortConfig cfg = small_sort_config();
+  cfg.records = sort::csort_compatible_records(cfg.records, cfg.nodes,
+                                               cfg.block_records);
+  pdm::Workspace ws(cfg.nodes, util::LatencyModel::free(), backend());
+  comm::SimCluster cluster(cfg.nodes);
+  sort::generate_input(ws, cfg);
+
+  fault::Injector inj(cfg.seed);
+  inj.arm(fault::kDiskWriteError, fault::Rule::always_after(20));
+  ws.set_fault_injector(&inj);
+  ws.set_retry_policy(util::RetryPolicy::standard(3, cfg.seed));
+  cluster.fabric().set_fault_injector(&inj);
+
+  EXPECT_THROW(sort::run_csort(cluster, ws, cfg), fault::TransientError);
   EXPECT_GT(ws.total_retry_stats().exhausted, 0u);
 }
 

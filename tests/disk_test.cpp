@@ -1,20 +1,14 @@
 // Tests for the PDM storage substrate.
 //
-// The core of this file is a conformance suite parameterized over all
-// three Disk backends (stdio, native, and io_uring), mirroring
-// fabric_test's backend pattern: every behavior the base class owns —
-// positioned I/O, handle validation, stats, fault injection, retry
-// absorption, the async request path — must be observably identical no
-// matter what sits underneath.  The uring rows skip (not fail) on
-// systems without io_uring.  Backend-specific behavior (the stdio
-// latency model and spindle, O_DIRECT alignment, the ring's registered
-// resources) gets its own suites below, followed by Workspace lifecycle
-// and StripeLayout arithmetic.
-#include "pdm/aio.hpp"
+// The core of this file is a conformance suite parameterized over both
+// Disk backends (stdio and native), mirroring fabric_test's backend
+// pattern: positioned I/O, handle validation, stats, fault injection and
+// retry absorption must be observably identical no matter which backend
+// runs.  Backend-specific behavior (the stdio latency model and spindle,
+// O_DIRECT alignment) gets its own suites below, followed by Workspace
+// lifecycle and StripeLayout arithmetic.
 #include "pdm/disk.hpp"
-#include "pdm/native_disk.hpp"
 #include "pdm/striping.hpp"
-#include "pdm/uring_disk.hpp"
 #include "pdm/workspace.hpp"
 #include "util/fault.hpp"
 #include "util/retry.hpp"
@@ -26,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -53,11 +46,10 @@ std::vector<std::byte> pattern_bytes(std::size_t n, int seed) {
 TEST(DiskBackendTest, ParseRoundTrips) {
   EXPECT_EQ(parse_disk_backend("stdio"), DiskBackend::kStdio);
   EXPECT_EQ(parse_disk_backend("native"), DiskBackend::kNative);
-  EXPECT_EQ(parse_disk_backend("uring"), DiskBackend::kUring);
   EXPECT_STREQ(to_string(DiskBackend::kStdio), "stdio");
   EXPECT_STREQ(to_string(DiskBackend::kNative), "native");
-  EXPECT_STREQ(to_string(DiskBackend::kUring), "uring");
   EXPECT_THROW(parse_disk_backend("mmap"), std::invalid_argument);
+  EXPECT_THROW(parse_disk_backend("uring"), std::invalid_argument);
 }
 
 TEST(DiskBackendTest, FactoryBuildsTheRequestedBackend) {
@@ -69,24 +61,6 @@ TEST(DiskBackendTest, FactoryBuildsTheRequestedBackend) {
   EXPECT_STREQ(native->backend_name(), "native");
 }
 
-// make_disk(kUring) is the soft path: the real backend where the probe
-// succeeds, NativeDisk (with a logged warning) where it doesn't — never
-// a throw.  Workspace::backend() reports whichever was actually built.
-TEST(DiskBackendTest, UringFactoryFallsBackWhenUnavailable) {
-  Workspace ws(1, util::LatencyModel::free(), DiskBackend::kUring);
-  if (UringDisk::available()) {
-    EXPECT_EQ(ws.backend(), DiskBackend::kUring);
-    EXPECT_STREQ(ws.disk(0).backend_name(), "uring");
-  } else {
-    EXPECT_EQ(ws.backend(), DiskBackend::kNative);
-    EXPECT_STREQ(ws.disk(0).backend_name(), "native");
-  }
-  File f = ws.disk(0).create("either");
-  ws.disk(0).write(f, 0, bytes_of("works"));
-  std::vector<std::byte> buf(5);
-  EXPECT_EQ(ws.disk(0).read(f, 0, buf), 5u);
-}
-
 TEST(DiskBackendTest, DirectRequiresNative) {
   Workspace ws(1);
   EXPECT_THROW(
@@ -95,25 +69,17 @@ TEST(DiskBackendTest, DirectRequiresNative) {
       std::invalid_argument);
 }
 
-// -- Conformance suite: all three backends -----------------------------------
+// -- Conformance suite: both backends -----------------------------------------
 
 class DiskConformance : public ::testing::TestWithParam<const char*> {
  protected:
-  // The Workspace is built in SetUp (not the constructor) so the uring
-  // rows can skip cleanly on systems without io_uring.
-  void SetUp() override {
-    const DiskBackend backend = parse_disk_backend(GetParam());
-    if (backend == DiskBackend::kUring && !UringDisk::available()) {
-      GTEST_SKIP() << "io_uring unavailable on this system";
-    }
-    ws_.emplace(1, util::LatencyModel::free(), backend);
-  }
-  Disk& disk() { return ws_->disk(0); }
-  std::optional<Workspace> ws_;
+  Disk& disk() { return ws_.disk(0); }
+  Workspace ws_{1, util::LatencyModel::free(),
+                parse_disk_backend(GetParam())};
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, DiskConformance,
-                         ::testing::Values("stdio", "native", "uring"),
+                         ::testing::Values("stdio", "native"),
                          [](const auto& info) { return std::string(info.param); });
 
 TEST_P(DiskConformance, CreateWriteReadRoundTrip) {
@@ -343,162 +309,17 @@ TEST_P(DiskConformance, FlushFailureSurfacesInSync) {
   disk().sync(f);
 }
 
-// -- async request path -------------------------------------------------------
-
-TEST_P(DiskConformance, AsyncRoundTrip) {
-  File f = disk().create("async");
+// fgbench's disk probe calls read_async(...).wait(): the shim is the
+// synchronous read, short at EOF like read().
+TEST_P(DiskConformance, ReadAsyncShimIsTheSynchronousRead) {
+  File f = disk().create("shim");
   const auto data = pattern_bytes(8192, 3);
-  IoHandle w = disk().write_async(f, 0, data);
-  EXPECT_EQ(w.wait(), 8192u);
-  std::vector<std::byte> buf(8192);
-  IoHandle r = disk().read_async(f, 0, buf);
-  EXPECT_EQ(r.wait(), 8192u);
-  EXPECT_EQ(std::memcmp(buf.data(), data.data(), 8192), 0);
-  EXPECT_EQ(disk().io_queue_depth(), 0u);
-}
-
-TEST_P(DiskConformance, AsyncSingleWorkerCompletesInSubmissionOrder) {
-  disk().set_io_workers(1);
-  File f = disk().create("fifo");
-  const auto a = pattern_bytes(1024, 4);
-  const auto b = pattern_bytes(1024, 5);
-  IoHandle w1 = disk().write_async(f, 0, a);
-  IoHandle w2 = disk().write_async(f, 1024, b);
-  std::vector<std::byte> buf(2048);
-  IoHandle r = disk().read_async(f, 0, buf);
-  // One worker serves the queue FIFO, so by the time the read completes
-  // both earlier writes must have completed too — and be visible.
-  EXPECT_EQ(r.wait(), 2048u);
-  EXPECT_TRUE(w1.done());
-  EXPECT_TRUE(w2.done());
-  EXPECT_EQ(w1.wait(), 1024u);
-  EXPECT_EQ(w2.wait(), 1024u);
-  EXPECT_EQ(std::memcmp(buf.data(), a.data(), 1024), 0);
-  EXPECT_EQ(std::memcmp(buf.data() + 1024, b.data(), 1024), 0);
-}
-
-TEST_P(DiskConformance, AsyncErrorRethrownOnWait) {
-  fault::Injector inj(9);
-  inj.arm(fault::kDiskWriteError, fault::Rule::always_after(0));
-  disk().set_fault_injector(&inj, 0);
-  File f = disk().create("asyncerr");
-  const auto data = pattern_bytes(256, 6);
-  IoHandle h = disk().write_async(f, 0, data);
-  EXPECT_THROW(h.wait(), fault::TransientError);
-}
-
-TEST_P(DiskConformance, AsyncRetriesApplyLikeSync) {
-  fault::Injector inj(11);
-  inj.arm(fault::kDiskReadError, fault::Rule::one_shot(1));
-  disk().set_fault_injector(&inj, 0);
-  disk().set_retry_policy(util::RetryPolicy::standard(4, 11));
-  File f = disk().create("asyncretry");
-  const auto data = pattern_bytes(512, 7);
   disk().write(f, 0, data);
-  std::vector<std::byte> buf(512);
-  IoHandle h = disk().read_async(f, 0, buf);
-  EXPECT_EQ(h.wait(), 512u);  // the transient was absorbed on the worker
-  EXPECT_EQ(std::memcmp(buf.data(), data.data(), 512), 0);
-  EXPECT_GE(disk().retry_stats().absorbed, 1u);
-}
-
-TEST_P(DiskConformance, EmptyHandleRejectsWait) {
-  IoHandle h;
-  EXPECT_FALSE(h.valid());
-  EXPECT_FALSE(h.done());
-  EXPECT_THROW(h.wait(), std::logic_error);
-}
-
-// -- read-ahead / write-behind ------------------------------------------------
-
-TEST_P(DiskConformance, ReadAheadDeliversThePlannedStream) {
-  File f = disk().create("ra");
-  const std::size_t kRound = 1024;
-  const int kRounds = 7;
-  std::vector<std::byte> all;
-  for (int r = 0; r < kRounds; ++r) {
-    const auto chunk = pattern_bytes(kRound, r);
-    disk().write(f, static_cast<std::uint64_t>(r) * kRound, chunk);
-    all.insert(all.end(), chunk.begin(), chunk.end());
-  }
-  ReadAhead ra(disk(), f, kRound,
-               [&](std::uint64_t round, std::uint64_t* offset,
-                   std::size_t* bytes) {
-                 if (round >= static_cast<std::uint64_t>(kRounds)) return false;
-                 *offset = round * kRound;
-                 *bytes = kRound;
-                 return true;
-               });
-  std::vector<std::byte> buf(kRound);
-  for (int r = 0; r < kRounds; ++r) {
-    ASSERT_EQ(ra.next(buf), kRound) << "round " << r;
-    ASSERT_EQ(std::memcmp(buf.data(), all.data() + r * kRound, kRound), 0)
-        << "round " << r;
-  }
-  EXPECT_EQ(ra.next(buf), 0u);  // exhausted
-  EXPECT_EQ(ra.next(buf), 0u);  // stays exhausted
-}
-
-// Regression (satellite): a plan that runs past EOF used to hand the
-// consumer a short round whose count it typically ignored.  The prefetch
-// pipeline now surfaces it as ShortReadError at the round that broke.
-TEST_P(DiskConformance, ReadAheadSurfacesShortPlannedRead) {
-  File f = disk().create("rashort");
-  const std::size_t kRound = 1024;
-  disk().write(f, 0, pattern_bytes(kRound + kRound / 2, 11));  // 1.5 rounds
-  ReadAhead ra(disk(), f, kRound,
-               [&](std::uint64_t round, std::uint64_t* offset,
-                   std::size_t* bytes) {
-                 if (round >= 2) return false;  // plan claims 2 full rounds
-                 *offset = round * kRound;
-                 *bytes = kRound;
-                 return true;
-               });
-  std::vector<std::byte> buf(kRound);
-  ASSERT_EQ(ra.next(buf), kRound);  // round 0 is whole
-  try {
-    ra.next(buf);
-    FAIL() << "expected ShortReadError";
-  } catch (const ShortReadError& e) {
-    EXPECT_EQ(e.offset(), kRound);
-    EXPECT_EQ(e.requested(), kRound);
-    EXPECT_EQ(e.got(), kRound / 2);
-  }
-}
-
-TEST_P(DiskConformance, WriteBehindLandsEveryPiece) {
-  File f = disk().create("wb");
-  const std::size_t kSlot = 4096;
-  WriteBehind wb(disk(), f, kSlot);
-  std::vector<std::byte> expect(3 * kSlot);
-  for (int r = 0; r < 3; ++r) {
-    auto slot = wb.stage();
-    const auto data = pattern_bytes(kSlot, 100 + r);
-    std::memcpy(slot.data(), data.data(), kSlot);
-    // Two pieces per round, written out of order within the slot.
-    wb.submit({WriteBehind::Piece{static_cast<std::uint64_t>(r) * kSlot +
-                                      kSlot / 2,
-                                  kSlot / 2, kSlot / 2},
-               WriteBehind::Piece{static_cast<std::uint64_t>(r) * kSlot, 0,
-                                  kSlot / 2}});
-    std::memcpy(expect.data() + r * kSlot, data.data(), kSlot);
-  }
-  wb.drain();
-  std::vector<std::byte> buf(3 * kSlot);
-  EXPECT_EQ(disk().read(f, 0, buf), 3 * kSlot);
-  EXPECT_EQ(std::memcmp(buf.data(), expect.data(), buf.size()), 0);
-}
-
-TEST_P(DiskConformance, WriteBehindDrainReportsFailure) {
-  fault::Injector inj(13);
-  inj.arm(fault::kDiskWriteError, fault::Rule::always_after(0));
-  disk().set_fault_injector(&inj, 0);
-  File f = disk().create("wberr");
-  WriteBehind wb(disk(), f, 256);
-  auto slot = wb.stage();
-  std::memset(slot.data(), 0x5a, slot.size());
-  wb.submit({WriteBehind::Piece{0, 0, 256}});
-  EXPECT_THROW(wb.drain(), fault::TransientError);
+  std::vector<std::byte> buf(8192);
+  EXPECT_EQ(disk().read_async(f, 0, buf).wait(), 8192u);
+  EXPECT_EQ(std::memcmp(buf.data(), data.data(), 8192), 0);
+  EXPECT_EQ(disk().read_async(f, 8000, buf).wait(), 192u);
+  EXPECT_EQ(disk().stats().read_ops, 2u);
 }
 
 // -- stdio backend: latency model and spindle ---------------------------------
@@ -639,9 +460,8 @@ class NativeDirectTest : public ::testing::Test {
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("fg_odirect_" + std::to_string(::getpid()));
-    NativeDiskOptions opts;
-    opts.direct = true;
-    disk_ = std::make_unique<NativeDisk>(dir_, opts);
+    disk_ = make_disk(DiskBackend::kNative, dir_, util::LatencyModel::free(),
+                      /*direct=*/true);
     try {
       file_ = disk_->create("x");
     } catch (const std::runtime_error&) {
@@ -655,12 +475,12 @@ class NativeDirectTest : public ::testing::Test {
   }
 
   std::filesystem::path dir_;
-  std::unique_ptr<NativeDisk> disk_;
+  std::unique_ptr<Disk> disk_;
   File file_;
 };
 
 TEST_F(NativeDirectTest, AlignedTransfersWork) {
-  constexpr std::size_t kAlign = NativeDisk::kDirectAlign;
+  constexpr std::size_t kAlign = Disk::kDirectAlign;
   void* raw = std::aligned_alloc(kAlign, kAlign);
   ASSERT_NE(raw, nullptr);
   auto* p = static_cast<std::byte*>(raw);
@@ -673,7 +493,7 @@ TEST_F(NativeDirectTest, AlignedTransfersWork) {
 }
 
 TEST_F(NativeDirectTest, MisalignedRequestsRejectedUpFront) {
-  constexpr std::size_t kAlign = NativeDisk::kDirectAlign;
+  constexpr std::size_t kAlign = Disk::kDirectAlign;
   void* raw = std::aligned_alloc(kAlign, 2 * kAlign);
   ASSERT_NE(raw, nullptr);
   auto* p = static_cast<std::byte*>(raw);
@@ -685,91 +505,6 @@ TEST_F(NativeDirectTest, MisalignedRequestsRejectedUpFront) {
   EXPECT_THROW(disk_->read(file_, 512, {p, kAlign}), std::invalid_argument);
   EXPECT_THROW(disk_->read(file_, 0, {p, 100}), std::invalid_argument);
   std::free(raw);
-}
-
-// -- uring backend: the ring and its registered resources ---------------------
-
-class UringDiskTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!UringDisk::available()) {
-      GTEST_SKIP() << "io_uring unavailable on this system";
-    }
-    ws_.emplace(1, util::LatencyModel::free(), DiskBackend::kUring);
-  }
-  UringDisk& disk() { return static_cast<UringDisk&>(ws_->disk(0)); }
-  std::optional<Workspace> ws_;
-};
-
-TEST_F(UringDiskTest, AsyncIoRidesTheRing) {
-  File f = disk().create("ring");
-  const auto data = pattern_bytes(8192, 21);
-  EXPECT_EQ(disk().write_async(f, 0, data).wait(), 8192u);
-  std::vector<std::byte> buf(8192);
-  EXPECT_EQ(disk().read_async(f, 0, buf).wait(), 8192u);
-  EXPECT_EQ(std::memcmp(buf.data(), data.data(), 8192), 0);
-  // The transfers went through SQEs, and the create() hook registered
-  // the fd into the fixed-file table, so they addressed it by slot.
-  EXPECT_GT(disk().sqes_submitted(), 0u);
-  EXPECT_GT(disk().fixed_file_ops(), 0u);
-}
-
-TEST_F(UringDiskTest, PinnedBuffersUseTheFixedOpcodes) {
-  File f = disk().create("pin");
-  constexpr std::size_t kLen = 8192;
-  void* raw = std::aligned_alloc(NativeDisk::kDirectAlign, kLen);
-  ASSERT_NE(raw, nullptr);
-  auto* p = static_cast<std::byte*>(raw);
-  ASSERT_TRUE(disk().pin_buffer({p, kLen}));
-  const auto data = pattern_bytes(kLen, 22);
-  std::memcpy(p, data.data(), kLen);
-  EXPECT_EQ(disk().write_async(f, 0, {p, kLen}).wait(), kLen);
-  std::memset(p, 0, kLen);
-  EXPECT_EQ(disk().read_async(f, 0, {p, kLen}).wait(), kLen);
-  EXPECT_EQ(std::memcmp(p, data.data(), kLen), 0);
-  EXPECT_GT(disk().fixed_buffer_ops(), 0u);
-  disk().unpin_buffer({p, kLen});
-  std::free(raw);
-}
-
-TEST_F(UringDiskTest, MisalignedPinRefusedButIoStillWorks) {
-  File f = disk().create("nopin");
-  std::vector<std::byte> backing(4096 + 1);
-  std::byte* misaligned = backing.data() + 1;
-  EXPECT_FALSE(disk().pin_buffer({misaligned, 4096}));
-  const auto data = pattern_bytes(4096, 23);
-  std::memcpy(misaligned, data.data(), 4096);
-  EXPECT_EQ(disk().write_async(f, 0, {misaligned, 4096}).wait(), 4096u);
-  std::vector<std::byte> buf(4096);
-  EXPECT_EQ(disk().read_async(f, 0, buf).wait(), 4096u);
-  EXPECT_EQ(std::memcmp(buf.data(), data.data(), 4096), 0);
-}
-
-TEST_F(UringDiskTest, ReadAheadPinsItsSlotBuffers) {
-  File f = disk().create("rapin");
-  const std::size_t kRound = 4096;
-  for (int r = 0; r < 4; ++r) {
-    disk().write(f, static_cast<std::uint64_t>(r) * kRound,
-                 pattern_bytes(kRound, 30 + r));
-  }
-  ReadAhead ra(disk(), f, kRound,
-               [&](std::uint64_t round, std::uint64_t* offset,
-                   std::size_t* bytes) {
-                 if (round >= 4) return false;
-                 *offset = round * kRound;
-                 *bytes = kRound;
-                 return true;
-               });
-  std::vector<std::byte> buf(kRound);
-  for (int r = 0; r < 4; ++r) {
-    ASSERT_EQ(ra.next(buf), kRound) << "round " << r;
-    ASSERT_EQ(std::memcmp(buf.data(), pattern_bytes(kRound, 30 + r).data(),
-                          kRound),
-              0);
-  }
-  // The prefetch slots are page-aligned and pinned for the ReadAhead's
-  // lifetime, so the planned reads ran as READ_FIXED.
-  EXPECT_GT(disk().fixed_buffer_ops(), 0u);
 }
 
 // -- Workspace ----------------------------------------------------------------

@@ -19,7 +19,9 @@
 
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -1024,6 +1026,47 @@ TEST(TcpFabricWire, DataFrameBehindAbortBroadcastIsOrderlyDrain) {
   EXPECT_FALSE(peer.readable_within(300));
 }
 
+// Regression (satellite): the receiver sized the payload from the header
+// before checking it, so a hostile length ended the process in
+// std::bad_alloc, and a corrupt stream aborted the run with an empty
+// abort_detail().  Each corrupt header must abort with a cause that
+// names the peer.
+void expect_corrupt_header_abort(const std::vector<std::byte>& hdr,
+                                 const std::string& cause) {
+  FakePeer peer;
+  TcpFabric fab(2, 1);
+  connect_fake_mesh(fab, peer);
+  peer.send_bytes(hdr.data(), hdr.size());
+
+  std::vector<std::byte> buf(16);
+  EXPECT_THROW(fab.recv(1, 0, 7, buf), FabricAborted);
+  const std::string detail = fab.abort_detail();
+  EXPECT_NE(detail.find("rank 0"), std::string::npos) << detail;
+  EXPECT_NE(detail.find(cause), std::string::npos) << detail;
+}
+
+TEST(TcpFabricWire, OversizedFrameAbortsBeforeAllocating) {
+  const std::uint64_t len = std::uint64_t{1} << 62;
+  expect_corrupt_header_abort(wire::data_frame_header(/*tag=*/7, 0, len),
+                              std::to_string(len) + " payload bytes");
+}
+
+TEST(TcpFabricWire, BadFrameMagicAbortsWithACause) {
+  auto hdr = wire::data_frame_header(/*tag=*/7, /*seq=*/0, 0);
+  wire::put_u32(hdr.data(), 0xdeadbeefu);
+  expect_corrupt_header_abort(hdr, "bad frame magic");
+}
+
+TEST(TcpFabricWire, SequenceGapAbortsWithACause) {
+  expect_corrupt_header_abort(wire::data_frame_header(/*tag=*/7, 5, 0),
+                              "sequence 5, expected 0");
+}
+
+TEST(TcpFabricWire, UnknownFrameTypeAbortsWithACause) {
+  expect_corrupt_header_abort(wire::control_frame_header(/*type=*/9, 0),
+                              "unknown frame type 9");
+}
+
 // The receive path recycles payload vectors through the frame pool
 // instead of allocating per frame; steady-state traffic must show reuse.
 TEST(TcpFabricWire, ReceivePayloadsAreRecycled) {
@@ -1093,6 +1136,44 @@ TEST(ShmSegmentTest, AttachByFdSharesTheSegment) {
   a.send(0, 1, 7, bytes_of("via mmap"));
   std::vector<std::byte> buf(16);
   EXPECT_EQ(string_of(buf, b.recv(1, 0, 7, buf).bytes), "via mmap");
+}
+
+// Regression (satellite): a slot header declaring a huge message used to
+// size the reassembly buffer unchecked and end the process in
+// std::bad_alloc.  The test plays rank 0 through its own mapping of the
+// segment and stomps slot 0 of the 0 -> 1 ring.  Offsets follow the
+// layout in shm_fabric.cpp: a header line, one status line per rank and
+// the abort line, then the ring's head and tail lines and its slots.
+TEST(ShmSegmentTest, StompedSlotHeaderAbortsWithACause) {
+  if (!ShmFabric::available()) GTEST_SKIP();
+  auto seg = ShmSegment::create(2);
+  ShmFabric b(seg, 1);
+  struct stat st {};
+  ASSERT_EQ(::fstat(seg->fd(), &st), 0);
+  const auto len = static_cast<std::size_t>(st.st_size);
+  void* map =
+      ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, seg->fd(), 0);
+  ASSERT_NE(map, MAP_FAILED);
+  auto* base = static_cast<std::byte*>(map);
+  constexpr std::size_t kRing = 4 * 64;          // ring 0 -> 1
+  constexpr std::size_t kSlot0 = kRing + 2 * 64;  // its first slot
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  struct {
+    std::int32_t tag;
+    std::uint32_t first;
+    std::uint64_t msg_bytes, chunk_bytes, delay_ns;
+  } hdr{7, 1, huge, 0, 0};
+  std::memcpy(base + kSlot0, &hdr, sizeof hdr);
+  auto* head = reinterpret_cast<std::uint32_t*>(base + kRing);
+  std::atomic_ref<std::uint32_t>(*head).store(1, std::memory_order_release);
+
+  std::vector<std::byte> buf(16);
+  EXPECT_THROW(b.recv(1, 0, 7, buf), FabricAborted);
+  const std::string detail = b.abort_detail();
+  EXPECT_NE(detail.find("rank 0"), std::string::npos) << detail;
+  EXPECT_NE(detail.find(std::to_string(huge) + " bytes"), std::string::npos)
+      << detail;
+  ::munmap(map, len);
 }
 
 TEST(ShmFabricTest, DuplicateRankAttachRejected) {
@@ -1262,6 +1343,20 @@ TEST(MailboxTest, WildcardTakesInterleaveWithDeepQueues) {
 TEST(SimFabric, ConstructorRejectsZeroNodes) {
   EXPECT_THROW(SimFabric(0), std::invalid_argument);
   EXPECT_THROW(TcpFabric(0, 0), std::invalid_argument);
+}
+
+// The send side enforces Fabric::kMaxMessageBytes on every fabric.  A
+// read-only MAP_NORESERVE mapping one byte over the limit is a valid
+// span that commits no memory.
+TEST(SimFabric, SendRejectsPayloadsOverTheLimit) {
+  SimFabric f(2);
+  const std::size_t n = Fabric::kMaxMessageBytes + 1;
+  void* p = ::mmap(nullptr, n, PROT_READ,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(p, MAP_FAILED);
+  EXPECT_THROW(f.send(0, 1, 3, {static_cast<const std::byte*>(p), n}),
+               std::length_error);
+  ::munmap(p, n);
 }
 
 TEST(SimFabric, FifoSurvivesSizeVariation) {

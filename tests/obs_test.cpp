@@ -1,18 +1,24 @@
 // Round-trip tests for the observability layer: the strict JSON parser
 // against the JsonWriter, span rings and their drop accounting, the
-// metrics registry (histogram bucket invariants), and an end-to-end
-// traced pipeline whose Chrome-trace export must parse, pass the fgtrace
+// metrics registry (histogram bucket invariants), an end-to-end traced
+// pipeline whose Chrome-trace export must parse, pass the fgtrace
 // structural checks, and name the deliberately slow stage as the
-// bottleneck.
+// bottleneck, and traced sorts whose disk spans account for their I/O.
+#include "comm/cluster.hpp"
 #include "core/fg.hpp"
 #include "obs/analyze.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/session.hpp"
+#include "pdm/workspace.hpp"
+#include "sort/csort.hpp"
+#include "sort/dataset.hpp"
+#include "sort/dsort.hpp"
 #include "util/json.hpp"
 #include "util/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <set>
@@ -328,6 +334,79 @@ TEST(CheckStats, ValidatesFgsortShapedBlobs) {
       R"({"programs":[{"program":"dsort","times":{"total_s":1.0},)"
       R"("stages":[{"stage":"read","pipelines":"p"}]}]})");
   EXPECT_FALSE(obs::check_stats(bad).empty());
+}
+
+// ---------------------------------------------------------------------
+// Disk spans of traced sorts.
+// ---------------------------------------------------------------------
+
+// The sort stages do their own disk I/O, so the trace sees every byte a
+// run writes, and each disk span lies inside a stage-work span of its
+// own track (a stage blocked in a transfer is busy, not idle).
+void expect_disk_spans_account_for_io(bool columnsort) {
+  sort::SortConfig cfg;
+  cfg.nodes = 4;
+  cfg.records = 8000;
+  cfg.record_bytes = 16;
+  cfg.block_records = 64;
+  cfg.buffer_records = 256;
+  cfg.num_buffers = 3;
+  cfg.merge_buffer_records = 64;
+  cfg.merge_num_buffers = 2;
+  cfg.out_buffer_records = 256;
+  cfg.oversample = 32;
+  if (columnsort) {
+    cfg.records = sort::csort_compatible_records(cfg.records, cfg.nodes,
+                                                 cfg.block_records);
+  }
+  pdm::Workspace ws(cfg.nodes);
+  comm::SimCluster cluster(cfg.nodes);
+  sort::generate_input(ws, cfg);
+  for (int n = 0; n < cfg.nodes; ++n) ws.disk(n).reset_stats();
+  obs::Session session(1u << 16);
+  cfg.obs = &session;
+  if (columnsort) {
+    sort::run_csort(cluster, ws, cfg);
+  } else {
+    sort::run_dsort(cluster, ws, cfg);
+  }
+  ASSERT_EQ(session.spans().total_dropped(), 0u);
+
+  std::uint64_t written = 0;
+  for (int n = 0; n < cfg.nodes; ++n) {
+    written += ws.disk(n).stats().bytes_written;
+  }
+  std::uint64_t span_bytes = 0;
+  for (const obs::TrackSpans& t : session.spans().tracks()) {
+    std::vector<obs::SpanRecord> work;
+    for (const obs::SpanRecord& s : t.spans) {
+      if (s.kind == obs::SpanKind::kStageWork) work.push_back(s);
+    }
+    for (const obs::SpanRecord& s : t.spans) {
+      if (s.kind != obs::SpanKind::kDiskRead &&
+          s.kind != obs::SpanKind::kDiskWrite &&
+          s.kind != obs::SpanKind::kDiskRetry) {
+        continue;
+      }
+      if (s.kind == obs::SpanKind::kDiskWrite) span_bytes += s.value;
+      EXPECT_TRUE(std::any_of(work.begin(), work.end(),
+                              [&](const obs::SpanRecord& w) {
+                                return w.begin_ns <= s.begin_ns &&
+                                       s.end_ns <= w.end_ns;
+                              }))
+          << "disk span outside stage work on track " << t.name;
+    }
+  }
+  EXPECT_GT(written, 0u);
+  EXPECT_EQ(span_bytes, written);
+}
+
+TEST(DiskSpans, DsortTraceAccountsForEveryByteWritten) {
+  expect_disk_spans_account_for_io(/*columnsort=*/false);
+}
+
+TEST(DiskSpans, CsortTraceAccountsForEveryByteWritten) {
+  expect_disk_spans_account_for_io(/*columnsort=*/true);
 }
 
 // ---------------------------------------------------------------------

@@ -147,6 +147,23 @@ TEST(ServeProtocol, SpecValidationRejectsGarbage) {
       JobSpec::from_json(
           util::Json::parse(R"({"kind":"sort","nodes":400})")),
       std::invalid_argument);
+  // Regression (satellite): values were narrowed before the range check,
+  // so these wrapped into range (record_bytes to 16, nodes to 1, stages
+  // to 3, work_us to 0, watchdog_ms to 5 ms), and stall_stage went
+  // through an unchecked double-to-int conversion (2.5 became 2, 1e300
+  // undefined behaviour).
+  for (const char* spec :
+       {R"({"kind":"sort","record_bytes":4294967312})",
+        R"({"kind":"sort","nodes":4294967297})",
+        R"({"kind":"pipeline","stages":4294967299})",
+        R"({"kind":"pipeline","work_us":4294967296})",
+        R"({"kind":"pipeline","watchdog_ms":4294967301})",
+        R"({"kind":"pipeline","stall_stage":2.5})",
+        R"({"kind":"pipeline","stall_stage":1e300})"}) {
+    EXPECT_THROW(JobSpec::from_json(util::Json::parse(spec)),
+                 std::invalid_argument)
+        << spec;
+  }
   // Unknown keys are forward-compatible noise, not errors.
   EXPECT_NO_THROW(JobSpec::from_json(
       util::Json::parse(R"({"kind":"pipeline","future_knob":1})")));

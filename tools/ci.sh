@@ -199,80 +199,49 @@ fi
 rm -rf "$shm_dir"
 rm -rf "$tcp_dir"
 
-# Native disk backend gate: the same seeded dsort through the stdio
-# backend (the simulated spindle) and the plain native backend must
-# produce byte-identical output stripes.
+# Native disk backend gate: the same seeded run of every program
+# through the stdio backend (the simulated spindle) and the plain native
+# backend must produce byte-identical output stripes.
 # The native run is traced, its blobs must pass the structural check,
 # and the report/stats must record which backend produced them (so a
-# BENCH artifact can never silently change substrate).
-echo "==> native disk backend dsort (byte-compare vs stdio)"
+# BENCH artifact can never silently change substrate).  With --program
+# all, fgsort appends the program name to the trace file.
+echo "==> native disk backend dsort/csort/ssort (byte-compare vs stdio)"
 nd_dir="$root/build-ci-release/native-disk-check"
 rm -rf "$nd_dir"
 mkdir -p "$nd_dir"
-"$root/build-ci-release/tools/fgsort" --program dsort --nodes 4 \
+"$root/build-ci-release/tools/fgsort" --program all --nodes 4 \
   --records 65536 --latency none --seed 23 --disk stdio \
   --keep "$nd_dir/stdio" > /dev/null
-"$root/build-ci-release/tools/fgsort" --program dsort --nodes 4 \
+"$root/build-ci-release/tools/fgsort" --program all --nodes 4 \
   --records 65536 --latency none --seed 23 --disk native \
   --keep "$nd_dir/native" \
   --trace-out "$nd_dir/trace.json" --stats-json "$nd_dir/stats.json" \
   > /dev/null
-for n in 0 1 2 3; do
-  cmp "$nd_dir/stdio/dsort/node$n/output" "$nd_dir/native/dsort/node$n/output"
+for prog in dsort csort ssort; do
+  for n in 0 1 2 3; do
+    cmp "$nd_dir/stdio/$prog/node$n/output" \
+      "$nd_dir/native/$prog/node$n/output"
+  done
 done
 grep -q '"disk":"native"' "$nd_dir/stats.json"
 "$root/build-ci-release/tools/fgtrace" --check \
-  "$nd_dir/trace.json" "$nd_dir/stats.json"
+  "$nd_dir/trace.json.dsort" "$nd_dir/stats.json"
 "$root/build-ci-release/tools/fgtrace" report --json --label disk=native \
   --label fabric=sim --label latency=none \
-  "$nd_dir/trace.json" > "$bench_dir/native.json"
+  "$nd_dir/trace.json.dsort" > "$bench_dir/native.json"
 grep -q '"disk":"native"' "$bench_dir/native.json"
 echo "==> native disk backend ok"
-
-# io_uring disk backend gate: the same seeded dsort through the uring
-# ring must byte-match the native stripes.  fgsort resolves --disk uring
-# to native (with a warning) where io_uring is unavailable, and the
-# stats JSON records the backend that actually ran — so this gate
-# auto-skips on such systems instead of failing, and can never mistake
-# the fallback for a real uring run.
-echo "==> io_uring disk backend dsort (byte-compare vs native)"
-"$root/build-ci-release/tools/fgsort" --program dsort --nodes 4 \
-  --records 65536 --latency none --seed 23 --disk uring \
-  --keep "$nd_dir/uring" \
-  --trace-out "$nd_dir/uring-trace.json" \
-  --stats-json "$nd_dir/uring-stats.json" > /dev/null
-if grep -q '"disk":"uring"' "$nd_dir/uring-stats.json"; then
-  for n in 0 1 2 3; do
-    cmp "$nd_dir/native/dsort/node$n/output" \
-      "$nd_dir/uring/dsort/node$n/output"
-  done
-  "$root/build-ci-release/tools/fgtrace" --check \
-    "$nd_dir/uring-trace.json" "$nd_dir/uring-stats.json"
-  "$root/build-ci-release/tools/fgtrace" report --json --label disk=uring \
-    --label fabric=sim --label latency=none \
-    "$nd_dir/uring-trace.json" > "$bench_dir/uring.json"
-  grep -q '"disk":"uring"' "$bench_dir/uring.json"
-  # The forced-fallback path must keep working too: FG_NO_URING=1 turns
-  # --disk uring into a warned native run, never an error.
-  FG_NO_URING=1 "$root/build-ci-release/tools/fgsort" --program dsort \
-    --nodes 2 --records 8192 --latency none --seed 23 --disk uring \
-    --stats-json "$nd_dir/fallback-stats.json" > /dev/null 2>&1
-  grep -q '"disk":"native"' "$nd_dir/fallback-stats.json"
-  echo "==> io_uring disk backend ok (byte-identical to native)"
-else
-  echo "==> io_uring unavailable here; uring gate skipped (ran as native)"
-fi
 rm -rf "$nd_dir"
 
 # Assemble BENCH_sort.json from every labeled section produced above: a
 # JSON array with one {labels, reports} object per traced run (sim
-# paper-latency, loopback TCP, shared-memory, native disk, and — where
-# available — the io_uring backend), so the artifact always says which
-# substrate each number came from.
+# paper-latency, loopback TCP, shared-memory, native disk), so the
+# artifact always says which substrate each number came from.
 {
   printf '['
   first=1
-  for section in sim tcp shm native uring; do
+  for section in sim tcp shm native; do
     [ -f "$bench_dir/$section.json" ] || continue
     [ "$first" -eq 1 ] || printf ','
     first=0
@@ -341,9 +310,8 @@ echo "==> wrote $bench_dir/BENCH_serve.json (server drained clean, exit 0)"
 # Chaos soak: replay the fault-injection suite under TSan with ten
 # distinct seeds.  Injection schedules are a pure function of the seed,
 # so each iteration exercises a different (but reproducible) failure
-# pattern; the disk-fault tests are parameterized over all disk
-# backends, so every seed soaks stdio, native, and (where the kernel
-# allows) io_uring alike.  A seed that breaks here reproduces locally
+# pattern; the disk-fault tests are parameterized over both disk
+# backends, so every seed soaks stdio and native alike.  A seed that breaks here reproduces locally
 # with FG_CHAOS_SEED=<seed> build-ci-tsan/tests/chaos_test.
 echo "==> chaos soak (tsan, 10 seeds)"
 for seed in 1 2 3 5 8 13 21 34 55 89; do

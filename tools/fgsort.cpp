@@ -37,20 +37,15 @@
 //                                        wait-free SPSC ring where it
 //                                        proved eligibility; mpmc forces
 //                                        the blocking queue everywhere)
-//     --disk stdio|native|uring         (disk backend; default stdio.
+//     --disk stdio|native               (disk backend; default stdio.
 //                                        stdio simulates the paper's
 //                                        spindles — native's pread/
 //                                        pwrite, one op at a time per
 //                                        disk, modeled latency.  native
 //                                        runs at hardware speed;
-//                                        --latency does not shape it.
-//                                        uring is
-//                                        native files with the async
-//                                        path on io_uring; falls back
-//                                        to native, with a warning,
-//                                        where io_uring is unavailable)
+//                                        --latency does not shape it)
 //     --direct                          (open files with O_DIRECT;
-//                                        native/uring backends only)
+//                                        native backend only)
 //
 // Multi-process mode (one OS process per cluster node):
 //     --fabric sim|tcp|shm              (default: sim)
@@ -86,7 +81,7 @@
 #include "core/graph.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/session.hpp"
-#include "pdm/uring_disk.hpp"
+#include "pdm/workspace.hpp"
 #include "sort/experiment.hpp"
 #include "sort/ssort.hpp"
 #include "util/fault.hpp"
@@ -144,7 +139,7 @@ struct Options {
                "          [--peers host:port,...] [--shm-fd FD]\n"
                "          [--recv-timeout-ms N]\n"
                "          [--channels auto|mpmc]\n"
-               "          [--disk stdio|native|uring] [--direct]\n",
+               "          [--disk stdio|native] [--direct]\n",
                argv0);
   std::exit(2);
 }
@@ -249,17 +244,8 @@ Options parse(int argc, char** argv) try {
     else usage(argv[0]);
   }
   if (opt.direct && opt.disk == pdm::DiskBackend::kStdio) {
-    std::fprintf(stderr, "fgsort: --direct requires --disk native or uring\n");
+    std::fprintf(stderr, "fgsort: --direct requires --disk native\n");
     std::exit(2);
-  }
-  // Resolve the uring request up front so everything downstream — the
-  // banner, the stats JSON, CI gates keying off it — reports the backend
-  // the run actually used rather than the one it asked for.
-  if (opt.disk == pdm::DiskBackend::kUring && !pdm::UringDisk::available()) {
-    std::fprintf(stderr,
-                 "fgsort: io_uring unavailable on this system; using the "
-                 "native backend instead\n");
-    opt.disk = pdm::DiskBackend::kNative;
   }
   if (opt.program != "dsort" && opt.program != "csort" &&
       opt.program != "ssort" && opt.program != "all") {
