@@ -65,8 +65,9 @@ BENCHMARK(BM_Buffers)
 // ---------------------------------------------------------------------------
 // Queue-hop microbenchmark: the cost of conveying one token from a
 // producer stage to a consumer stage, for the mutex/condvar BufferQueue
-// and the wait-free SpscChannel the plan layer substitutes on proven
-// one-producer/one-consumer edges.  One producer thread streams tokens
+// (the runtime's only channel) and the wait-free SpscChannel (a FastFlow-
+// style ring no runtime path builds; at FG's buffer sizes a hop is a
+// vanishing share of a round).  One producer thread streams tokens
 // through the channel while one consumer pops; ns/op is wall time over
 // token count, so it includes the full push+pop handshake.
 
@@ -93,8 +94,8 @@ double hop_ns_per_op(fg::Channel& q, std::uint64_t tokens) {
 double hop_ns(const std::string& channel, std::uint64_t tokens) {
   if (channel == "spsc") {
     // Same producer throttle depth as the mutex queue; the ring itself is
-    // sized the way the plan layer would size it (strictly above the
-    // declared capacity so the bound never binds first).
+    // sized strictly above the declared capacity so the bound never
+    // binds first.
     fg::SpscChannel q(kHopCapacity * 4, kHopCapacity);
     return hop_ns_per_op(q, tokens);
   }

@@ -46,9 +46,9 @@ struct PermuteConfig {
   std::string input_name{"input"};
   std::string output_name{"permuted"};
 
-  /// Channel selection (and fgserve's per-job pool budget)
-  /// applied to every node's pipeline graph, exactly as
-  /// SortConfig::runtime does for the sorting programs.
+  /// Runtime options (fgserve's per-job pool budget) applied to every
+  /// node's pipeline graph, exactly as SortConfig::runtime does for the
+  /// sorting programs.
   RuntimeOptions runtime{};
 
   /// Stall watchdog window per graph, in milliseconds; 0 disables it.

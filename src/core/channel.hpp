@@ -1,6 +1,6 @@
 // The channel layer: the abstract token conduit FG places between
-// consecutive pipeline stages, and its wait-free single-producer /
-// single-consumer implementation.
+// consecutive pipeline stages, and a wait-free single-producer /
+// single-consumer implementation kept for the queue-hop benchmarks.
 //
 // A stage conveys a buffer by pushing into the channel to its successor
 // and accepts by popping the channel from its predecessor; an empty pop
@@ -17,11 +17,12 @@
 //
 // Two implementations exist:
 //   * BufferQueue (core/queue.hpp) — the MPMC mutex/condvar queue, legal
-//     for any topology; and
-//   * SpscChannel (below) — a bounded wait-free ring, selected by the
-//     plan layer only for queues it can prove have exactly one producer
-//     worker and one consumer worker (replication and recycle queues
-//     fall back to MPMC).
+//     for any topology, and the one the runtime builds for every queue;
+//   * SpscChannel (below) — a bounded wait-free ring.  No runtime path
+//     constructs it: at FG's buffer sizes one hop is a vanishing share of
+//     a round, so no workload paid for choosing it per queue.  It stays
+//     because the queue-hop benchmarks (`bench_buffers --gate`, fgbench's
+//     `core.channel_hop_ns` rows) measure it against BufferQueue.
 // Both preserve the same token semantics, QueueStats accounting
 // (residents == pushes + forced - pops), depth sampling, and the
 // for_each_resident teardown audit.
@@ -66,8 +67,8 @@ struct Token {
   }
 };
 
-/// Which implementation services a queue slot (recorded per queue in the
-/// stats JSON so a bench artifact can never silently change substrate).
+/// Which implementation services a queue (recorded per queue in
+/// RunStats' JSON).
 enum class ChannelKind : std::uint8_t { kMpmc, kSpsc };
 
 const char* to_string(ChannelKind k) noexcept;
@@ -142,11 +143,11 @@ class Channel {
   Channel() = default;
 };
 
-/// Bounded wait-free SPSC ring (the FastFlow-style stage hop).
+/// Bounded wait-free SPSC ring (the FastFlow-style stage hop).  Used only
+/// by the queue-hop benchmarks; the runtime builds BufferQueues.
 ///
-/// Exactly one producer worker may push and exactly one consumer worker
-/// may pop — the plan layer proves this before selecting
-/// the channel.  The hot path is two atomic word accesses per operation:
+/// Exactly one producer thread may push and exactly one consumer thread
+/// may pop.  The hot path is two atomic word accesses per operation:
 /// head/tail live on separate cache lines, and each side keeps a cached
 /// copy of the opposite index so an uncontended push or pop reads only
 /// its own line.  Blocking spins briefly, then registers in a sleeper
@@ -154,11 +155,11 @@ class Channel {
 /// other side notifies only when a sleeper is registered, so steady-state
 /// streaming makes no syscalls and takes no locks.
 ///
-/// `bound` is the provable maximum number of simultaneously-resident
-/// tokens (the plan sums member pools + cabooses); `declared_capacity`
-/// is the user-facing throttle (0 = unbounded).  When the declared
-/// capacity is 0 the producer can never actually fill the ring, so the
-/// full edge is dead code and pops skip its bookkeeping entirely.
+/// `bound` is the maximum number of simultaneously-resident tokens
+/// (0 = unknown); `declared_capacity` is the user-facing throttle
+/// (0 = unbounded).  When the declared capacity is 0 the producer can
+/// never actually fill the ring, so the full edge is dead code and pops
+/// skip its bookkeeping entirely.
 ///
 /// force_push may be called by *any* thread during teardown; those tokens
 /// go to a mutex-guarded overflow side-list (never the ring, which is
@@ -174,8 +175,7 @@ class SpscChannel final : public Channel {
                                                           : bound);
     if (limit_ == 0) limit_ = 1;
     // Can the producer ever block?  Only when the declared capacity
-    // throttles below the provable resident bound (or the bound is
-    // unknown, as in direct unit-test construction).
+    // throttles below the resident bound (or the bound is unknown).
     bounded_ = declared_capacity != 0 && (bound == 0 || declared_capacity < bound);
     std::size_t cap = 1;
     while (cap < limit_) cap <<= 1;
@@ -302,10 +302,6 @@ class SpscChannel final : public Channel {
 
   std::size_t capacity() const noexcept override { return declared_; }
 
-  /// The ring's occupancy limit (declared capacity clamped to the provable
-  /// bound); exposed for the plan tests.
-  std::size_t ring_limit() const noexcept { return limit_; }
-
  private:
   enum class PushResult : std::uint8_t { kAccepted, kFull, kAborted };
 
@@ -358,7 +354,7 @@ class SpscChannel final : public Channel {
     if (depth_after != nullptr)
       *depth_after = static_cast<std::size_t>(cached_tail_ - head - 1);
     // Full-edge wakeup, only when a producer can actually block (declared
-    // capacity below the provable bound) AND one is registered asleep.
+    // capacity below the resident bound) AND one is registered asleep.
     // The fence pairs with push()'s sleeper registration: either we see
     // the registration (and notify), or its post-registration head load
     // sees our pop (and it does not sleep).

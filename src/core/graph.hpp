@@ -115,11 +115,7 @@ class PipelineGraph {
   /// share one session.
   void set_observability(obs::Session* session);
 
-  /// Set the options for subsequent runs: the channel policy (kMpmcOnly
-  /// forces the blocking MPMC queue even where the plan proved SPSC
-  /// eligibility) and the pool budget.  The channel default resolves from
-  /// the environment (FG_CHANNELS) so whole suites can be replayed under
-  /// either channel kind without code changes.
+  /// Set the options for subsequent runs (the pool budget).
   void set_runtime_options(RuntimeOptions options);
 
   /// Arm a stall watchdog on subsequent runs: if no worker completes a

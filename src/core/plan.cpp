@@ -263,59 +263,6 @@ ExecutionPlan::ExecutionPlan(
                     cfg.rounds};
   }
 
-  // Channel analysis: a queue may use the wait-free SPSC ring only when
-  // the topology proves exactly one producer worker and one consumer
-  // worker, each running a single thread.  Recycle queues never qualify:
-  // besides the sink they receive close tokens from any stage and
-  // force_push parking from every unwinding worker.  The ring is sized by
-  // the provable resident bound — each member pipeline can have at most
-  // its whole pool plus one caboose in any single queue.
-  {
-    std::vector<std::size_t> producers(queues_.size(), 0);
-    std::vector<std::size_t> consumers(queues_.size(), 0);
-    std::vector<std::size_t> producer_threads(queues_.size(), 0);
-    std::vector<std::size_t> consumer_threads(queues_.size(), 0);
-    std::vector<bool> recycle(queues_.size(), false);
-    std::vector<std::vector<PipelineId>> feeds(queues_.size());
-    for (const auto& [pid, qi] : source_in_) recycle[qi] = true;
-    for (const auto& w : workers_) {
-      std::vector<QueueIndex> outs;
-      for (const auto& [pid, qi] : w.out) {
-        if (std::find(outs.begin(), outs.end(), qi) == outs.end())
-          outs.push_back(qi);
-        if (std::find(feeds[qi].begin(), feeds[qi].end(), pid) ==
-            feeds[qi].end())
-          feeds[qi].push_back(pid);
-      }
-      for (QueueIndex qi : outs) {
-        producers[qi] += 1;
-        producer_threads[qi] += w.replicas;
-      }
-      std::vector<QueueIndex> ins;
-      if (w.in != kNoQueue) ins.push_back(w.in);
-      for (const auto& [pid, qi] : w.in_by_pid) {
-        if (std::find(ins.begin(), ins.end(), qi) == ins.end())
-          ins.push_back(qi);
-      }
-      for (QueueIndex qi : ins) {
-        consumers[qi] += 1;
-        consumer_threads[qi] += w.replicas;
-      }
-    }
-    for (QueueIndex qi = 0; qi < queues_.size(); ++qi) {
-      if (recycle[qi]) continue;
-      if (producers[qi] != 1 || consumers[qi] != 1) continue;
-      if (producer_threads[qi] != 1 || consumer_threads[qi] != 1) continue;
-      std::size_t bound = 0;
-      for (PipelineId pid : feeds[qi]) {
-        bound += pipelines[pid]->config().num_buffers + 1;  // pool + caboose
-      }
-      if (bound == 0) continue;
-      queues_[qi].kind = ChannelKind::kSpsc;
-      queues_[qi].spsc_bound = bound;
-    }
-  }
-
   // Stats labels.
   for (auto& w : workers_) {
     switch (w.kind) {

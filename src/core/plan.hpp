@@ -17,7 +17,6 @@
 // from the plan on every run, which is what makes graphs rerunnable.
 #pragma once
 
-#include "core/channel.hpp"
 #include "core/pipeline.hpp"
 #include "core/stage.hpp"
 
@@ -38,19 +37,8 @@ using QueueIndex = std::uint32_t;
 inline constexpr QueueIndex kNoQueue = std::numeric_limits<QueueIndex>::max();
 
 /// One queue slot in the topology.  capacity == 0 means unbounded.
-///
-/// `kind` is decided by the plan's channel analysis: a queue whose
-/// topology proves exactly one producer worker and one consumer worker
-/// (each single-threaded) is serviced by the wait-free SPSC ring; every
-/// other queue — recycle queues (pushed by sinks, closing stages, and
-/// teardown parking), replicated stages, merged multi-worker fan-ins —
-/// keeps the MPMC blocking queue.  `spsc_bound` is the provable maximum
-/// number of simultaneously-resident tokens (member pools + one caboose
-/// per member pipeline), which sizes the ring.
 struct PlannedQueue {
   std::size_t capacity{0};
-  ChannelKind kind{ChannelKind::kMpmc};
-  std::size_t spsc_bound{0};
 };
 
 /// One worker (thread group) in the topology.  Everything here is fixed

@@ -1,10 +1,10 @@
-// The MPMC blocking channel implementation — the reference BufferQueue
-// FG has always placed between consecutive pipeline stages.  The token
-// semantics, the Channel interface, and the wait-free SPSC alternative
-// live in core/channel.hpp; this header keeps its historical name (and
-// the BufferQueue type) because it is the implementation legal for any
-// topology: multiple producers, multiple consumers, replicas, recycle
-// queues receiving pushes from every stage of a pipeline.
+// The MPMC blocking channel — the BufferQueue FG places between every
+// pair of consecutive pipeline stages, and the runtime's only channel.
+// The token semantics, the Channel interface, and the SPSC ring the
+// queue-hop benchmarks compare against live in core/channel.hpp.
+// BufferQueue is legal for any topology: multiple producers, multiple
+// consumers, replicas, recycle queues receiving pushes from every stage
+// of a pipeline.
 #pragma once
 
 #include "core/channel.hpp"

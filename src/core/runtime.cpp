@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace fg {
@@ -17,14 +16,6 @@ const char* to_string(ChannelKind k) noexcept {
   return "?";
 }
 
-ChannelPolicy resolve_channels(ChannelPolicy p) noexcept {
-  if (p != ChannelPolicy::kAuto) return p;
-  const char* env = std::getenv("FG_CHANNELS");
-  if (env != nullptr && std::string(env) == "mpmc")
-    return ChannelPolicy::kMpmcOnly;
-  return ChannelPolicy::kAuto;
-}
-
 // ---------------------------------------------------------------------------
 // Construction: materialize queues, pools, and workers from the plan
 // ---------------------------------------------------------------------------
@@ -32,17 +23,10 @@ ChannelPolicy resolve_channels(ChannelPolicy p) noexcept {
 GraphRuntime::GraphRuntime(const ExecutionPlan& plan, obs::Session* obs,
                            RuntimeOptions options)
     : plan_(&plan), obs_(obs) {
-  const ChannelPolicy channels = resolve_channels(options.channels);
-
   queues_.reserve(plan.queues().size());
   for (std::uint32_t qi = 0; qi < plan.queues().size(); ++qi) {
-    const PlannedQueue& pq = plan.queues()[qi];
-    if (pq.kind == ChannelKind::kSpsc && channels == ChannelPolicy::kAuto) {
-      queues_.push_back(
-          std::make_unique<SpscChannel>(pq.spsc_bound, pq.capacity));
-    } else {
-      queues_.push_back(std::make_unique<BufferQueue>(pq.capacity));
-    }
+    queues_.push_back(
+        std::make_unique<BufferQueue>(plan.queues()[qi].capacity));
     queue_index_[queues_.back().get()] = qi;
   }
 
@@ -102,6 +86,8 @@ GraphRuntime::GraphRuntime(const ExecutionPlan& plan, obs::Session* obs,
         w->src[pid].target = plan.pools()[pid].rounds;
       }
     }
+    if (spec.kind == WorkerKind::kMap)
+      w->map_state.active = spec.members.size();
     w->stats.stage = spec.label;
     w->stats.pipelines = spec.pipelines;
     workers_.push_back(std::move(w));
@@ -134,7 +120,7 @@ void GraphRuntime::abort_all() {
 // Traced queue operations and the stall watchdog
 // ---------------------------------------------------------------------------
 
-Token GraphRuntime::traced_pop(RunWorker& w, Channel* q) {
+Token GraphRuntime::traced_pop(RunWorker& w, BufferQueue* q) {
   const std::uint32_t qi = queue_index_.at(q);
   w.blocked_queue.store(qi, std::memory_order_relaxed);
   w.blocked_push.store(false, std::memory_order_relaxed);
@@ -153,7 +139,7 @@ Token GraphRuntime::traced_pop(RunWorker& w, Channel* q) {
   return t;
 }
 
-bool GraphRuntime::traced_push(RunWorker& w, Channel* q, Token t) {
+bool GraphRuntime::traced_push(RunWorker& w, BufferQueue* q, Token t) {
   const std::uint32_t qi = queue_index_.at(q);
   w.blocked_queue.store(qi, std::memory_order_relaxed);
   w.blocked_push.store(true, std::memory_order_relaxed);
@@ -250,13 +236,7 @@ void GraphRuntime::worker_entry(RunWorker* w) {
     switch (w->spec->kind) {
       case WorkerKind::kSource: source_loop(*w); break;
       case WorkerKind::kSink: sink_loop(*w); break;
-      case WorkerKind::kMap:
-        if (w->spec->replicas > 1) {
-          map_loop_replicated(*w);
-        } else {
-          map_loop(*w);
-        }
-        break;
+      case WorkerKind::kMap: map_loop(*w); break;
       case WorkerKind::kCustom: custom_loop(*w); break;
     }
   } catch (const AbortSignal&) {

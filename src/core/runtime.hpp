@@ -73,18 +73,8 @@ struct BufferAudit {
   }
 };
 
-/// Channel selection policy.  kAuto lets the plan's analysis pick the
-/// wait-free SPSC ring where it proved eligibility; kMpmcOnly forces the
-/// blocking MPMC queue everywhere (the conformance/ablation setting).
-/// kAuto also honours FG_CHANNELS=mpmc from the environment.
-enum class ChannelPolicy : std::uint8_t { kAuto, kMpmcOnly };
-
-/// Resolve kAuto against the environment (FG_CHANNELS).
-ChannelPolicy resolve_channels(ChannelPolicy p) noexcept;
-
 /// Per-run options, set on PipelineGraph before run().
 struct RuntimeOptions {
-  ChannelPolicy channels{ChannelPolicy::kAuto};
   /// Buffer-pool byte budget (util/budget.hpp).  When set, every run
   /// charges its pools' full allocation (primary + auxiliary blocks)
   /// against the budget at runtime construction and releases it at
@@ -96,11 +86,11 @@ struct RuntimeOptions {
 
 class GraphRuntime {
  public:
-  /// Materialize channels and pools for `plan`.  The plan must outlive
-  /// the runtime; `obs` may be null.  With a session attached the run
-  /// contributes spans and metrics to it (see class comment).  `options`
-  /// picks the channel policy (kAuto resolves from the environment) and
-  /// the pool budget.
+  /// Materialize queues and pools for `plan`: one BufferQueue per
+  /// planned queue.  The plan must outlive the runtime; `obs` may be
+  /// null.  With a session attached the run contributes spans and
+  /// metrics to it (see class comment).  `options` carries the pool
+  /// budget.
   explicit GraphRuntime(const ExecutionPlan& plan, obs::Session* obs = nullptr,
                         RuntimeOptions options = {});
   ~GraphRuntime();
@@ -148,10 +138,9 @@ class GraphRuntime {
   void source_loop(RunWorker& w);
   void sink_loop(RunWorker& w);
   void map_loop(RunWorker& w);
-  void map_loop_replicated(RunWorker& w);
   void custom_loop(RunWorker& w);
 
-  Channel* source_in(PipelineId pid) const {
+  BufferQueue* source_in(PipelineId pid) const {
     return queues_[plan_->source_in(pid)].get();
   }
   void record_error(std::exception_ptr e);
@@ -161,8 +150,20 @@ class GraphRuntime {
   /// Queue ops routed through these wrappers publish which queue the
   /// worker is blocked on (for the stall report) and bump the progress
   /// counter the watchdog monitors.
-  Token traced_pop(RunWorker& w, Channel* q);
-  bool traced_push(RunWorker& w, Channel* q, Token t);
+  Token traced_pop(RunWorker& w, BufferQueue* q);
+  bool traced_push(RunWorker& w, BufferQueue* q, Token t);
+
+  /// A traced pop timed as an accept wait: the blocked time goes to
+  /// `stats.accept_blocked` and, when tracing, to a kAcceptWait span.
+  /// `done`, when non-null, receives the time the wait ended.
+  Token timed_accept(RunWorker& w, BufferQueue* q, StageStats& stats,
+                     util::TimePoint* done = nullptr);
+  /// A traced push timed as a convey wait: the blocked time goes to
+  /// `stats.convey_blocked` and, when tracing, to a kConveyWait span.
+  /// With `birth` set (the source's emissions), the buffer is stamped
+  /// with the wait's start as its round's birth time before the push.
+  bool timed_convey(RunWorker& w, BufferQueue* q, Token t, StageStats& stats,
+                    bool birth = false);
   void watchdog_loop();
   std::string stall_report() const;
 
@@ -177,14 +178,14 @@ class GraphRuntime {
   obs::Histogram* round_latency_{nullptr};
   std::vector<obs::Gauge*> queue_gauges_;  // indexed like queues_
 
-  std::vector<std::unique_ptr<Channel>> queues_;
+  std::vector<std::unique_ptr<BufferQueue>> queues_;
   // Declared before pools_: the reservation is released only after the
   // buffers it paid for are gone.  (Order is cosmetic — the budget is a
   // counter — but it keeps the accounting story straight.)
   util::BudgetReservation pool_reservation_;
   std::vector<std::vector<std::unique_ptr<Buffer>>> pools_;  // by pipeline
   std::vector<std::unique_ptr<RunWorker>> workers_;
-  std::unordered_map<const Channel*, std::uint32_t> queue_index_;
+  std::unordered_map<const BufferQueue*, std::uint32_t> queue_index_;
 
   std::mutex err_mutex_;
   std::exception_ptr first_error_;

@@ -31,9 +31,9 @@ struct GraphRuntime::RunWorker {
   std::uint32_t index{0};
   const PlannedWorker* spec{nullptr};
 
-  Channel* in{nullptr};  // all kinds except custom
-  std::unordered_map<PipelineId, Channel*> in_by_pid;  // custom only
-  std::unordered_map<PipelineId, Channel*> out;  // successor per pid
+  BufferQueue* in{nullptr};  // all kinds except custom
+  std::unordered_map<PipelineId, BufferQueue*> in_by_pid;  // custom only
+  std::unordered_map<PipelineId, BufferQueue*> out;  // successor per pid
 
   StageStats stats;
   std::thread thread;
@@ -57,24 +57,25 @@ struct GraphRuntime::RunWorker {
   };
   std::unordered_map<PipelineId, SrcState> src;
 
-  // Replicated map stages: `replicas` threads share this worker's queue
-  // and this state.
-  struct ReplShared {
+  // Map stages: the stage's threads (one, or `replicas`) share this
+  // worker's queue and this state.
+  struct MapState {
     std::mutex mutex;
     std::condition_variable cv;
-    /// Buffer tokens popped from the shared queue that have reached a
-    /// terminal state (conveyed, recycled, or parked).  The caboose gate
-    /// compares this against the queue's own pop count — which the queue
-    /// bumps atomically with the pop, and which never counts synthesized
-    /// abort tokens — so a buffer a sibling has popped but not yet
-    /// registered anywhere still holds the caboose back.  (A counter the
-    /// replicas bump *after* pop returns would leave a pop-to-register
-    /// window the caboose could slip through.)
+    /// Tokens popped from the shared queue that have been handled: a
+    /// buffer once it is conveyed, recycled, or parked; a caboose once
+    /// it is forwarded.  The caboose gate compares this against the
+    /// queue's own pop count — which the queue bumps atomically with the
+    /// pop, and which never counts synthesized abort tokens — so a
+    /// buffer a sibling has popped but not yet registered anywhere still
+    /// holds the caboose back.  (A counter the replicas bump *after* pop
+    /// returns would leave a pop-to-register window the caboose could
+    /// slip through.)  Counting cabooses lets a virtual stage's later
+    /// cabooses pass the gate.
     std::uint64_t resolved{0};
-    std::unordered_map<PipelineId, bool> closed;
-    std::size_t active{0};
-    bool initialized{false};
-  } repl;
+    std::unordered_map<PipelineId, bool> closed;  ///< stage closed the pipeline
+    std::size_t active{0};  ///< member pipelines whose caboose is still due
+  } map_state;
 };
 
 /// The StageContext handed to custom stages.  Tracks every buffer the
@@ -117,9 +118,6 @@ class GraphRuntime::Context final : public StageContext {
 
   GraphRuntime& rt_;
   RunWorker& w_;
-  // Captured at construction, which happens on the worker's own thread
-  // after worker_entry published its ring; null when tracing is off.
-  obs::SpanRing* const ring_ = obs::current_ring();
   std::unordered_map<PipelineId, std::deque<Buffer*>> stash_;
   std::unordered_set<PipelineId> exhausted_;
   std::unordered_set<Buffer*> held_;

@@ -11,34 +11,54 @@ namespace fg {
 // teardown (an aborted queue refuses regular pushes) so every buffer
 // stays accountable — nothing rests "nowhere" after an abort.
 void GraphRuntime::park_token(RunWorker& w, Token t) {
-  Channel* q = source_in(t.pipeline);
+  BufferQueue* q = source_in(t.pipeline);
   if (!traced_push(w, q, t)) q->force_push(t);
 }
 
-void GraphRuntime::source_loop(RunWorker& w) {
+Token GraphRuntime::timed_accept(RunWorker& w, BufferQueue* q,
+                                 StageStats& stats, util::TimePoint* done) {
+  const auto t0 = util::Clock::now();
+  Token t = traced_pop(w, q);
+  const auto t1 = util::Clock::now();
+  stats.accept_blocked += t1 - t0;
+  // Aborts and the replicas' poison pills carry no pipeline: no span.
   obs::SpanRing* const ring = obs::current_ring();
+  if (ring != nullptr && t.pipeline != kNoPipeline) {
+    ring->emit(obs::SpanKind::kAcceptWait, t.pipeline,
+               t.buffer != nullptr ? t.buffer->round() : 0, t0, t1);
+  }
+  if (done != nullptr) *done = t1;
+  return t;
+}
+
+bool GraphRuntime::timed_convey(RunWorker& w, BufferQueue* q, Token t,
+                                StageStats& stats, bool birth) {
+  // Read before the push: once it succeeds the buffer is downstream
+  // property and may be recycled (and re-stamped) before the span emit.
+  const std::uint64_t round = t.buffer->round();
+  const auto t0 = util::Clock::now();
+  if (birth) t.buffer->set_emitted_at(t0);  // read by the sink
+  const bool ok = traced_push(w, q, t);
+  const auto t1 = util::Clock::now();
+  stats.convey_blocked += t1 - t0;
+  obs::SpanRing* const ring = obs::current_ring();
+  if (ring != nullptr)
+    ring->emit(obs::SpanKind::kConveyWait, t.pipeline, round, t0, t1);
+  return ok;
+}
+
+void GraphRuntime::source_loop(RunWorker& w) {
   std::size_t active = w.spec->members.size();
 
   // Emits return false once the run is being torn down.
   auto emit_buffer = [&](PipelineId pid, Buffer* b) {
     auto& st = w.src[pid];
-    // Capture the round id now: once the push succeeds the buffer is
-    // downstream property and may be recycled (and re-stamped) before
-    // the span emit below runs.
-    const std::uint64_t round = st.emitted;
     b->set_round(st.emitted++);
     b->set_size(0);
     b->set_tag(0);
-    Channel* q = w.out.at(pid);
-    const auto t0 = util::Clock::now();
-    b->set_emitted_at(t0);  // the round's birth timestamp, read by the sink
-    const bool ok = traced_push(w, q, Token::of_buffer(b));
-    const auto t1 = util::Clock::now();
-    w.stats.convey_blocked += t1 - t0;
-    if (ring != nullptr)
-      ring->emit(obs::SpanKind::kConveyWait, pid, round, t0, t1);
-    if (!ok) {
-      w.src[pid].parked += 1;  // token dropped by the aborted queue
+    if (!timed_convey(w, w.out.at(pid), Token::of_buffer(b), w.stats,
+                      /*birth=*/true)) {
+      st.parked += 1;  // token dropped by the aborted queue
       return false;
     }
     ++w.stats.buffers;
@@ -70,14 +90,7 @@ void GraphRuntime::source_loop(RunWorker& w) {
   }
 
   while (active > 0) {
-    const auto t0 = util::Clock::now();
-    Token t = traced_pop(w, w.in);
-    const auto t1 = util::Clock::now();
-    w.stats.accept_blocked += t1 - t0;
-    if (ring != nullptr && t.kind != TokenKind::kAbort) {
-      ring->emit(obs::SpanKind::kAcceptWait, t.pipeline,
-                 t.buffer != nullptr ? t.buffer->round() : 0, t0, t1);
-    }
+    Token t = timed_accept(w, w.in, w.stats);
     switch (t.kind) {
       case TokenKind::kAbort:
         return;
@@ -106,14 +119,8 @@ void GraphRuntime::sink_loop(RunWorker& w) {
   obs::SpanRing* const ring = obs::current_ring();
   std::size_t active = w.spec->members.size();
   for (;;) {
-    const auto t0 = util::Clock::now();
-    Token t = traced_pop(w, w.in);
-    const auto t1 = util::Clock::now();
-    w.stats.accept_blocked += t1 - t0;
-    if (ring != nullptr && t.kind != TokenKind::kAbort) {
-      ring->emit(obs::SpanKind::kAcceptWait, t.pipeline,
-                 t.buffer != nullptr ? t.buffer->round() : 0, t0, t1);
-    }
+    util::TimePoint arrived;
+    Token t = timed_accept(w, w.in, w.stats, &arrived);
     switch (t.kind) {
       case TokenKind::kAbort:
         return;
@@ -127,15 +134,15 @@ void GraphRuntime::sink_loop(RunWorker& w) {
         if (rounds_counter_ != nullptr) {
           rounds_counter_->add(1);
           const util::TimePoint emitted = t.buffer->emitted_at();
-          if (round_latency_ != nullptr && t1 >= emitted) {
+          if (round_latency_ != nullptr && arrived >= emitted) {
             round_latency_->record(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::microseconds>(
-                    t1 - emitted)
+                    arrived - emitted)
                     .count()));
           }
-          if (ring != nullptr && t1 >= emitted) {
+          if (ring != nullptr && arrived >= emitted) {
             ring->emit(obs::SpanKind::kRound, t.pipeline, t.buffer->round(),
-                       emitted, t1);
+                       emitted, arrived);
           }
         }
         park_token(w, t);  // recycle to the source
@@ -147,144 +154,51 @@ void GraphRuntime::sink_loop(RunWorker& w) {
 }
 
 void GraphRuntime::map_loop(RunWorker& w) {
+  // A map stage runs on one thread, or on `replicas` threads that share
+  // its queue and `w.map_state`.  Each thread has its own ambient ring
+  // (attached in worker_entry), so span emission needs no cross-replica
+  // coordination.
   obs::SpanRing* const ring = obs::current_ring();
   auto* stage = static_cast<MapStage*>(w.spec->stage);
-  std::size_t active = w.spec->members.size();
-  std::unordered_map<PipelineId, bool> closed;
-  for (PipelineId pid : w.spec->members) closed[pid] = false;
-
-  for (;;) {
-    const auto t0 = util::Clock::now();
-    Token t = traced_pop(w, w.in);
-    const auto t1 = util::Clock::now();
-    w.stats.accept_blocked += t1 - t0;
-    if (ring != nullptr && t.kind != TokenKind::kAbort) {
-      ring->emit(obs::SpanKind::kAcceptWait, t.pipeline,
-                 t.buffer != nullptr ? t.buffer->round() : 0, t0, t1);
+  auto& shared = w.map_state;
+  const auto resolve = [&] {
+    {
+      std::lock_guard<std::mutex> lock(shared.mutex);
+      ++shared.resolved;
     }
-    switch (t.kind) {
-      case TokenKind::kAbort:
-        return;
-      case TokenKind::kCaboose: {
-        const auto tw = util::Clock::now();
-        stage->flush(t.pipeline);
-        const auto tw1 = util::Clock::now();
-        w.stats.working += tw1 - tw;
-        if (ring != nullptr)
-          ring->emit(obs::SpanKind::kStageWork, t.pipeline, 0, tw, tw1);
-        traced_push(w, w.out.at(t.pipeline), t);
-        if (--active == 0) return;
-        break;
-      }
-      case TokenKind::kBuffer: {
-        const PipelineId pid = t.pipeline;
-        if (closed[pid]) {
-          // The stage already declared this pipeline finished; hand
-          // leftover upstream buffers straight back to the source.
-          park_token(w, t);
-          break;
-        }
-        const auto tw = util::Clock::now();
-        StageAction action;
-        try {
-          action = stage->apply(*t.buffer);
-        } catch (...) {
-          // Return the in-flight buffer before unwinding so nothing is
-          // stranded outside a queue.
-          park_token(w, t);
-          throw;
-        }
-        const auto tw1 = util::Clock::now();
-        w.stats.working += tw1 - tw;
-        // Buffer fields must not be read after a successful push — the
-        // buffer can recycle and be re-stamped by the source meanwhile.
-        const std::uint64_t round = t.buffer->round();
-        if (ring != nullptr) {
-          ring->emit(obs::SpanKind::kStageWork, pid, round, tw, tw1);
-        }
-        ++w.stats.buffers;
-        const bool conveys = action == StageAction::kConvey ||
-                             action == StageAction::kConveyAndClose;
-        const bool closes = action == StageAction::kConveyAndClose ||
-                            action == StageAction::kRecycleAndClose;
-        if (conveys) {
-          Channel* q = w.out.at(pid);
-          const auto tc = util::Clock::now();
-          const bool ok = traced_push(w, q, t);
-          const auto tc1 = util::Clock::now();
-          w.stats.convey_blocked += tc1 - tc;
-          if (ring != nullptr) {
-            ring->emit(obs::SpanKind::kConveyWait, pid, round, tc, tc1);
-          }
-          if (!ok) park_token(w, t);  // teardown: keep the buffer accountable
-        } else {
-          park_token(w, t);
-        }
-        if (closes) {
-          closed[pid] = true;
-          // A refused push means teardown is underway; the source is
-          // unwinding anyway, and the kAbort token ends this loop next.
-          traced_push(w, source_in(pid), Token::close(pid));
-        }
-        break;
-      }
-      case TokenKind::kClose:
-        break;  // not expected between stages
-    }
-  }
-}
-
-void GraphRuntime::map_loop_replicated(RunWorker& w) {
-  // Each replica thread has its own ambient ring (attached in
-  // worker_entry), so span emission needs no cross-replica coordination.
-  obs::SpanRing* const ring = obs::current_ring();
-  auto* stage = static_cast<MapStage*>(w.spec->stage);
-  auto& shared = w.repl;
-  {
-    std::lock_guard<std::mutex> lock(shared.mutex);
-    if (!shared.initialized) {
-      shared.active = w.spec->members.size();
-      for (PipelineId pid : w.spec->members) {
-        shared.closed[pid] = false;
-      }
-      shared.initialized = true;
-    }
-  }
-
-  StageStats local;  // merged into w.stats at exit
-  const auto merge_stats = [&] {
-    std::lock_guard<std::mutex> lock(shared.mutex);
-    w.stats.buffers += local.buffers;
-    w.stats.working += local.working;
-    w.stats.accept_blocked += local.accept_blocked;
-    w.stats.convey_blocked += local.convey_blocked;
+    shared.cv.notify_all();
   };
 
-  for (;;) {
-    const auto t0 = util::Clock::now();
-    Token t = traced_pop(w, w.in);
-    const auto t1 = util::Clock::now();
-    local.accept_blocked += t1 - t0;
-    if (ring != nullptr && t.kind != TokenKind::kAbort &&
-        t.kind != TokenKind::kClose) {
-      ring->emit(obs::SpanKind::kAcceptWait, t.pipeline,
-                 t.buffer != nullptr ? t.buffer->round() : 0, t0, t1);
+  // Each thread counts into `local` and folds it into w.stats on every
+  // exit path, a throwing stage included.
+  StageStats local;
+  struct MergeStats {
+    RunWorker& w;
+    const StageStats& local;
+    ~MergeStats() {
+      std::lock_guard<std::mutex> lock(w.map_state.mutex);
+      w.stats.buffers += local.buffers;
+      w.stats.working += local.working;
+      w.stats.accept_blocked += local.accept_blocked;
+      w.stats.convey_blocked += local.convey_blocked;
     }
+  } merge{w, local};
+
+  for (;;) {
+    Token t = timed_accept(w, w.in, local);
     switch (t.kind) {
       case TokenKind::kAbort:
-        merge_stats();
         return;
       case TokenKind::kClose:
-        // Poison pill from the replica that handled the last caboose.
-        merge_stats();
+        // Poison pill from the thread that forwarded the last caboose.
         return;
       case TokenKind::kCaboose: {
         const PipelineId pid = t.pipeline;
         // The caboose may overtake buffers other replicas have already
         // popped; it must leave this stage last.  Gate on the queue's own
         // pop count (bumped atomically with each pop, aborts excluded):
-        // every buffer popped before this caboose — even one a sibling
-        // has not yet registered anywhere — must resolve first.
+        // every token popped before this caboose — even a buffer a
+        // sibling has not yet registered anywhere — must resolve first.
         const std::uint64_t target = w.in->stats().pops - 1;
         {
           std::unique_lock<std::mutex> lock(shared.mutex);
@@ -300,65 +214,57 @@ void GraphRuntime::map_loop_replicated(RunWorker& w) {
         bool last;
         {
           std::lock_guard<std::mutex> lock(shared.mutex);
+          ++shared.resolved;
           last = --shared.active == 0;
         }
+        shared.cv.notify_all();
         if (last) {
           for (std::size_t i = 1; i < w.spec->replicas; ++i) {
             traced_push(w, w.in, Token::close(kNoPipeline));
           }
-          merge_stats();
           return;
         }
         break;
       }
       case TokenKind::kBuffer: {
         const PipelineId pid = t.pipeline;
+        bool closed;
         {
           std::lock_guard<std::mutex> lock(shared.mutex);
-          if (shared.closed[pid]) {
-            park_token(w, t);
-            ++shared.resolved;
-            shared.cv.notify_all();
-            break;
-          }
+          closed = shared.closed[pid];
+        }
+        if (closed) {
+          // The stage already declared this pipeline finished; hand
+          // leftover upstream buffers straight back to the source.
+          park_token(w, t);
+          resolve();
+          break;
         }
         const auto tw = util::Clock::now();
         StageAction action;
         try {
           action = stage->apply(*t.buffer);
         } catch (...) {
+          // Return the in-flight buffer before unwinding so nothing is
+          // stranded outside a queue.
           park_token(w, t);
-          {
-            std::lock_guard<std::mutex> lock(shared.mutex);
-            ++shared.resolved;
-          }
-          shared.cv.notify_all();
-          merge_stats();
+          resolve();
           throw;
         }
         const auto tw1 = util::Clock::now();
         local.working += tw1 - tw;
-        // As in map_loop: no buffer-field reads after a successful push.
-        const std::uint64_t round = t.buffer->round();
         if (ring != nullptr) {
-          ring->emit(obs::SpanKind::kStageWork, pid, round, tw, tw1);
+          ring->emit(obs::SpanKind::kStageWork, pid, t.buffer->round(), tw,
+                     tw1);
         }
         ++local.buffers;
         const bool conveys = action == StageAction::kConvey ||
                              action == StageAction::kConveyAndClose;
         const bool closes = action == StageAction::kConveyAndClose ||
                             action == StageAction::kRecycleAndClose;
-        if (conveys) {
-          Channel* q = w.out.at(pid);
-          const auto tc = util::Clock::now();
-          const bool ok = traced_push(w, q, t);
-          const auto tc1 = util::Clock::now();
-          local.convey_blocked += tc1 - tc;
-          if (ring != nullptr) {
-            ring->emit(obs::SpanKind::kConveyWait, pid, round, tc, tc1);
-          }
-          if (!ok) park_token(w, t);
-        } else {
+        // A recycled buffer, or one an aborted queue refused, goes back to
+        // its source so it stays accountable.
+        if (!conveys || !timed_convey(w, w.out.at(pid), t, local)) {
           park_token(w, t);
         }
         if (closes) {
@@ -368,13 +274,11 @@ void GraphRuntime::map_loop_replicated(RunWorker& w) {
             first_close = !shared.closed[pid];
             shared.closed[pid] = true;
           }
+          // A refused push means teardown is underway; the source is
+          // unwinding anyway, and the kAbort token ends this loop next.
           if (first_close) traced_push(w, source_in(pid), Token::close(pid));
         }
-        {
-          std::lock_guard<std::mutex> lock(shared.mutex);
-          ++shared.resolved;
-        }
-        shared.cv.notify_all();
+        resolve();
         break;
       }
     }
@@ -394,18 +298,7 @@ void GraphRuntime::Context::convey(Buffer* b) {
         "cannot jump between pipelines)");
   }
   held_.erase(b);
-  // Capture before the push: a conveyed buffer may be recycled and
-  // re-stamped by the source before the span emit below runs.
-  const PipelineId pid = b->pipeline();
-  const std::uint64_t round = b->round();
-  const auto t0 = util::Clock::now();
-  const bool ok = rt_.traced_push(w_, it->second, Token::of_buffer(b));
-  const auto t1 = util::Clock::now();
-  w_.stats.convey_blocked += t1 - t0;
-  if (ring_ != nullptr) {
-    ring_->emit(obs::SpanKind::kConveyWait, pid, round, t0, t1);
-  }
-  if (!ok) {
+  if (!rt_.timed_convey(w_, it->second, Token::of_buffer(b), w_.stats)) {
     rt_.park_token(w_, Token::of_buffer(b));
     throw AbortSignal{};
   }
@@ -453,16 +346,9 @@ Buffer* GraphRuntime::Context::accept_pid(PipelineId pid) {
         "fg::StageContext::accept: stage '" + w_.spec->stage->name() +
         "' is not a member of that pipeline");
   }
-  Channel* q = qit->second;
+  BufferQueue* q = qit->second;
   for (;;) {
-    const auto t0 = util::Clock::now();
-    Token t = rt_.traced_pop(w_, q);
-    const auto t1 = util::Clock::now();
-    w_.stats.accept_blocked += t1 - t0;
-    if (ring_ != nullptr && t.kind != TokenKind::kAbort) {
-      ring_->emit(obs::SpanKind::kAcceptWait, t.pipeline,
-                  t.buffer != nullptr ? t.buffer->round() : 0, t0, t1);
-    }
+    Token t = rt_.timed_accept(w_, q, w_.stats);
     switch (t.kind) {
       case TokenKind::kAbort:
         throw AbortSignal{};

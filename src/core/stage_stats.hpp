@@ -24,15 +24,6 @@ struct StageStats {
   double working_seconds() const { return util::to_seconds(working); }
   double accept_seconds() const { return util::to_seconds(accept_blocked); }
   double convey_seconds() const { return util::to_seconds(convey_blocked); }
-
-  /// Zero the counters, keeping the identity labels.  The runtime calls
-  /// this between runs of a rerunnable graph.
-  void reset_counters() noexcept {
-    buffers = 0;
-    working = util::Duration{};
-    accept_blocked = util::Duration{};
-    convey_blocked = util::Duration{};
-  }
 };
 
 /// Fold `from` into `into`, matching entries by (stage, pipelines) label

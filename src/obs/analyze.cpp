@@ -24,6 +24,18 @@ struct Track {
   bool has_any{false};
 };
 
+/// True when `v` is a value Json::u64() accepts (analyze_trace reads
+/// pipeline and round ids through it).
+bool is_count(const util::Json* v) {
+  if (v == nullptr || !v->is_number()) return false;
+  try {
+    (void)v->u64();
+    return true;
+  } catch (const util::JsonParseError&) {
+    return false;
+  }
+}
+
 std::string format_double(double v, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", prec, v);
@@ -83,7 +95,9 @@ std::vector<std::string> check_trace(const util::Json& doc) {
     if (ph->string() == "M") {
       if (name->string() == "thread_name") {
         const util::Json* args = e.find("args");
-        if (args == nullptr || args->find("name") == nullptr)
+        const util::Json* track =
+            args == nullptr ? nullptr : args->find("name");
+        if (track == nullptr || !track->is_string())
           err(where + ": thread_name without args.name");
         else
           named_tids.insert(tid->u64());
@@ -113,15 +127,19 @@ std::vector<std::string> check_trace(const util::Json& doc) {
       err(where + ": X event without non-negative dur (unpaired span?)");
       continue;
     }
-    if (name->string() == "round") {
+    // analyze_trace reads these events' pipeline and round ids.
+    const std::string& n = name->string();
+    if (n == "round" || n == "work" || n == "convey-wait") {
       const util::Json* args = e.find("args");
-      if (args == nullptr || args->find("round") == nullptr ||
-          args->find("pipeline") == nullptr) {
-        err(where + ": round event without pipeline/round args");
+      if (args == nullptr || !is_count(args->find("pipeline")) ||
+          !is_count(args->find("round"))) {
+        err(where + ": " + n + " event without numeric pipeline/round args");
         continue;
       }
-      rounds_by_pipeline[args->at("pipeline").u64()].insert(
-          args->at("round").u64());
+      if (n == "round") {
+        rounds_by_pipeline[args->at("pipeline").u64()].insert(
+            args->at("round").u64());
+      }
     }
   }
 
@@ -202,6 +220,12 @@ std::vector<std::string> check_stats(const util::Json& doc) {
     }
   };
 
+  // analyze_stats reads a program's total_s and a run's wall_seconds as
+  // its wall time.
+  const auto check_wall = [&err](const util::Json* v, const std::string& w) {
+    if (v != nullptr && !v->is_number()) err(w + " is not a number");
+  };
+
   if (const util::Json* programs = doc.find("programs")) {
     if (!programs->is_array()) return {"programs is not an array"};
     for (std::size_t i = 0; i < programs->size(); ++i) {
@@ -209,6 +233,8 @@ std::vector<std::string> check_stats(const util::Json& doc) {
       const std::string where = "program " + std::to_string(i);
       const util::Json* name = p.find("program");
       if (name == nullptr || !name->is_string()) err(where + ": missing name");
+      if (const util::Json* times = p.find("times"))
+        check_wall(times->find("total_s"), where + ": times.total_s");
       if (const util::Json* stages = p.find("stages"))
         check_stages(*stages, where);
       if (const util::Json* metrics = p.find("metrics"))
@@ -216,6 +242,7 @@ std::vector<std::string> check_stats(const util::Json& doc) {
     }
   } else if (const util::Json* stages = doc.find("stages")) {
     check_stages(*stages, "run");
+    check_wall(doc.find("wall_seconds"), "run: wall_seconds");
     if (const util::Json* metrics = doc.find("metrics"))
       check_metrics(*metrics, "run");
   } else {

@@ -51,9 +51,8 @@ struct SortConfig {
   std::uint64_t seed{1};
   Distribution dist{Distribution::kUniform};
 
-  /// Channel selection (and fgserve's per-job pool budget), applied to
-  /// every pipeline graph the run builds.  kAuto also honours
-  /// FG_CHANNELS; fgsort exposes the policy as --channels.
+  /// Runtime options (fgserve's per-job pool budget), applied to every
+  /// pipeline graph the run builds.
   RuntimeOptions runtime{};
 
   /// Stall watchdog window for every pipeline graph the run builds, in

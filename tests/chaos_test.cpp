@@ -540,13 +540,13 @@ PipelineConfig chain_config(std::uint64_t rounds) {
   pc.num_buffers = 3;
   pc.buffer_bytes = 64;
   pc.rounds = rounds;
-  pc.queue_capacity = 2;  // bounded: the plan can prove SPSC eligibility
+  pc.queue_capacity = 2;  // bounded: producers block on a full queue
   return pc;
 }
 
 }  // namespace
 
-TEST(ChaosExecutor, StageFaultOnSpscChannelsReconciles) {
+TEST(ChaosExecutor, StageFaultOnBoundedChainReconciles) {
   fault::Injector inj(chaos_seed() + 1);
   inj.arm(fault::kStageThrow, fault::Rule::one_shot(11));
 
@@ -559,18 +559,9 @@ TEST(ChaosExecutor, StageFaultOnSpscChannelsReconciles) {
                                        }));
   p.add_stage(a);
   p.add_stage(boom);
-  g.set_runtime_options(RuntimeOptions{});  // channels auto: SPSC rings
   g.set_watchdog(std::chrono::seconds(30));
 
   EXPECT_THROW(g.run(), fault::InjectedFault);
-  // The fault must have hit the wait-free rings, not only MPMC queues.
-  bool saw_spsc = false;
-  for (const QueueStats& q : g.run_stats().queues) {
-    if (q.kind == ChannelKind::kSpsc) saw_spsc = true;
-  }
-  if (std::getenv("FG_CHANNELS") == nullptr) {
-    EXPECT_TRUE(saw_spsc);
-  }
   for (const BufferAudit& au : g.audit_buffers()) {
     EXPECT_EQ(au.accounted(), au.pool);
   }

@@ -2,7 +2,6 @@
 // multiple intersecting pipelines (common stage), and virtual stages /
 // virtual pipelines (shared threads and queues).
 #include "core/fg.hpp"
-#include "exec_param.hpp"
 
 #include <gtest/gtest.h>
 
@@ -29,25 +28,11 @@ PipelineConfig cfg_of(std::string name, std::size_t buffer_bytes,
   return c;
 }
 
-// Every suite replays under both channel policies, {auto,mpmc}.
-using DisjointP = test::WithChannels;
-using IntersectingP = test::WithChannels;
-using VirtualP = test::WithChannels;
-INSTANTIATE_TEST_SUITE_P(Channels, DisjointP,
-                         ::testing::ValuesIn(test::kChannelMatrix),
-                         test::channel_param_name);
-INSTANTIATE_TEST_SUITE_P(Channels, IntersectingP,
-                         ::testing::ValuesIn(test::kChannelMatrix),
-                         test::channel_param_name);
-INSTANTIATE_TEST_SUITE_P(Channels, VirtualP,
-                         ::testing::ValuesIn(test::kChannelMatrix),
-                         test::channel_param_name);
-
 // ---------------------------------------------------------------------------
 // Disjoint pipelines
 // ---------------------------------------------------------------------------
 
-TEST_P(DisjointP, TwoPipelinesRunIndependently) {
+TEST(Disjoint, TwoPipelinesRunIndependently) {
   PipelineGraph g;
   auto& pa = g.add_pipeline(cfg_of("a", 64, 2, 10));
   auto& pb = g.add_pipeline(cfg_of("b", 128, 3, 25));
@@ -69,7 +54,7 @@ TEST_P(DisjointP, TwoPipelinesRunIndependently) {
   EXPECT_EQ(nb.load(), 25);
 }
 
-TEST_P(DisjointP, EachPipelineHasOwnSourceSinkAndPool) {
+TEST(Disjoint, EachPipelineHasOwnSourceSinkAndPool) {
   PipelineGraph g;
   auto& pa = g.add_pipeline(cfg_of("a", 64, 2, 1));
   auto& pb = g.add_pipeline(cfg_of("b", 64, 2, 1));
@@ -89,7 +74,7 @@ TEST_P(DisjointP, EachPipelineHasOwnSourceSinkAndPool) {
   EXPECT_EQ(sinks, 2);
 }
 
-TEST_P(DisjointP, PipelinesProgressAtDifferentRates) {
+TEST(Disjoint, PipelinesProgressAtDifferentRates) {
   // The fast pipeline must not wait for the slow one — its buffers finish
   // long before the slow pipeline's rounds complete.
   PipelineGraph g;
@@ -228,7 +213,7 @@ std::vector<int> run_merge_graph(int k, int len, bool virtual_reads,
   return out;
 }
 
-TEST_P(IntersectingP, MergeProducesSortedUnion) {
+TEST(Intersecting, MergeProducesSortedUnion) {
   const auto out = run_merge_graph(4, 32, true);
   ASSERT_EQ(out.size(), 4u * 32u);
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
@@ -237,18 +222,18 @@ TEST_P(IntersectingP, MergeProducesSortedUnion) {
   }
 }
 
-TEST_P(IntersectingP, SingleVerticalPipeline) {
+TEST(Intersecting, SingleVerticalPipeline) {
   const auto out = run_merge_graph(1, 10, false);
   ASSERT_EQ(out.size(), 10u);
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
 
-TEST_P(IntersectingP, ZeroLengthRuns) {
+TEST(Intersecting, ZeroLengthRuns) {
   const auto out = run_merge_graph(3, 0, true);
   EXPECT_TRUE(out.empty());
 }
 
-TEST_P(IntersectingP, UnevenRunsViaDifferentChunking) {
+TEST(Intersecting, UnevenRunsViaDifferentChunking) {
   // Runs of equal length but vertical buffers drain at data-dependent
   // rates; the merged output must still be the sorted union.
   const auto out = run_merge_graph(7, 23, true);
@@ -256,7 +241,7 @@ TEST_P(IntersectingP, UnevenRunsViaDifferentChunking) {
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
 
-TEST_P(IntersectingP, CommonStageMustBeCustom) {
+TEST(Intersecting, CommonStageMustBeCustom) {
   PipelineGraph g;
   auto& pa = g.add_pipeline(cfg_of("a", 64, 2, 1));
   auto& pb = g.add_pipeline(cfg_of("b", 64, 2, 1));
@@ -266,7 +251,7 @@ TEST_P(IntersectingP, CommonStageMustBeCustom) {
   EXPECT_THROW(g.run(), std::logic_error);
 }
 
-TEST_P(IntersectingP, BuffersCannotJumpPipelines) {
+TEST(Intersecting, BuffersCannotJumpPipelines) {
   PipelineGraph g;
   auto& pa = g.add_pipeline(cfg_of("a", 64, 2, 0));
   auto& pb = g.add_pipeline(cfg_of("b", 64, 2, 0));
@@ -293,7 +278,7 @@ TEST_P(IntersectingP, BuffersCannotJumpPipelines) {
   EXPECT_NO_THROW(g.run());
 }
 
-TEST_P(IntersectingP, AcceptOnForeignPipelineThrows) {
+TEST(Intersecting, AcceptOnForeignPipelineThrows) {
   PipelineGraph g;
   auto& pa = g.add_pipeline(cfg_of("a", 64, 2, 1));
   auto& pb = g.add_pipeline(cfg_of("b", 64, 2, 1));
@@ -315,7 +300,7 @@ TEST_P(IntersectingP, AcceptOnForeignPipelineThrows) {
 // Virtual stages and pipelines
 // ---------------------------------------------------------------------------
 
-TEST_P(VirtualP, SharedThreadForManyPipelines) {
+TEST(Virtual, SharedThreadForManyPipelines) {
   std::size_t threads = 0;
   const int k = 50;
   const auto out = run_merge_graph(k, 8, true, &threads);
@@ -326,7 +311,7 @@ TEST_P(VirtualP, SharedThreadForManyPipelines) {
   EXPECT_EQ(threads, 7u);
 }
 
-TEST_P(VirtualP, NonVirtualUsesManyThreads) {
+TEST(Virtual, NonVirtualUsesManyThreads) {
   std::size_t threads = 0;
   const int k = 5;
   const auto out = run_merge_graph(k, 8, false, &threads);
@@ -336,7 +321,7 @@ TEST_P(VirtualP, NonVirtualUsesManyThreads) {
   EXPECT_EQ(threads, 3u * k + 4u);
 }
 
-TEST_P(VirtualP, VirtualStageMustBeMapStage) {
+TEST(Virtual, VirtualStageMustBeMapStage) {
   PipelineGraph g;
   auto& pa = g.add_pipeline(cfg_of("a", 64, 2, 1));
   auto& pb = g.add_pipeline(cfg_of("b", 64, 2, 1));
@@ -349,7 +334,7 @@ TEST_P(VirtualP, VirtualStageMustBeMapStage) {
   EXPECT_THROW(g.run(), std::logic_error);
 }
 
-TEST_P(VirtualP, PerPipelineCloseIsIndependent) {
+TEST(Virtual, PerPipelineCloseIsIndependent) {
   // Three virtual pipelines with different data lengths: each must close
   // when its own data runs out, without stopping the others.
   PipelineGraph g;
@@ -377,7 +362,7 @@ TEST_P(VirtualP, PerPipelineCloseIsIndependent) {
   EXPECT_EQ(g.planned_threads(), 4u);
 }
 
-TEST_P(VirtualP, SingleVirtualStageActsAsNormal) {
+TEST(Virtual, SingleVirtualStageActsAsNormal) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of("p", 64, 2, 4));
   int n = 0;
@@ -390,7 +375,7 @@ TEST_P(VirtualP, SingleVirtualStageActsAsNormal) {
   EXPECT_EQ(n, 4);
 }
 
-TEST_P(VirtualP, StatsAggregateAcrossMembers) {
+TEST(Virtual, StatsAggregateAcrossMembers) {
   PipelineGraph g;
   MapStage s("vstage", [](Buffer&) { return StageAction::kConvey; });
   for (int i = 0; i < 4; ++i) {
@@ -408,7 +393,7 @@ TEST_P(VirtualP, StatsAggregateAcrossMembers) {
   }
 }
 
-TEST_P(VirtualP, MixedVirtualAndNormalSharingRejected) {
+TEST(Virtual, MixedVirtualAndNormalSharingRejected) {
   PipelineGraph g;
   auto& pa = g.add_pipeline(cfg_of("a", 64, 2, 1));
   auto& pb = g.add_pipeline(cfg_of("b", 64, 2, 1));
@@ -418,7 +403,7 @@ TEST_P(VirtualP, MixedVirtualAndNormalSharingRejected) {
   EXPECT_THROW(g.run(), std::logic_error);
 }
 
-TEST_P(VirtualP, HundredsOfPipelinesFewThreads) {
+TEST(Virtual, HundredsOfPipelinesFewThreads) {
   PipelineGraph g;
   const int k = 300;
   std::vector<std::size_t> pos(static_cast<std::size_t>(k), 0);

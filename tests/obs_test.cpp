@@ -320,6 +320,23 @@ TEST(CheckTrace, FlagsStructuralProblems) {
       R"("args":{"name":"w"}},{"ph":"X","name":"work","cat":"stage",)"
       R"("pid":0,"tid":0,"ts":5,"dur":-1,"args":{"pipeline":0,"round":0}}]})");
   EXPECT_FALSE(obs::check_trace(neg).empty());
+  // fgtrace report reads a work or convey-wait span's pipeline and round;
+  // without them --check used to pass and the report to fail.
+  const util::Json no_args = util::Json::parse(
+      R"({"traceEvents":[{"ph":"M","name":"thread_name","pid":0,"tid":0,)"
+      R"("args":{"name":"w"}},{"ph":"X","name":"work","cat":"stage",)"
+      R"("pid":0,"tid":0,"ts":5,"dur":1}]})");
+  EXPECT_FALSE(obs::check_trace(no_args).empty());
+  const util::Json string_round = util::Json::parse(
+      R"({"traceEvents":[{"ph":"M","name":"thread_name","pid":0,"tid":0,)"
+      R"("args":{"name":"w"}},{"ph":"X","name":"convey-wait","cat":"queue",)"
+      R"("pid":0,"tid":0,"ts":5,"dur":1,"args":{"pipeline":0,"round":"7"}}]})");
+  EXPECT_FALSE(obs::check_trace(string_round).empty());
+  // The report names tracks from thread_name's args.name.
+  const util::Json numeric_name = util::Json::parse(
+      R"({"traceEvents":[{"ph":"M","name":"thread_name","pid":0,"tid":0,)"
+      R"("args":{"name":3}}]})");
+  EXPECT_FALSE(obs::check_trace(numeric_name).empty());
 }
 
 TEST(CheckStats, ValidatesFgsortShapedBlobs) {
@@ -334,6 +351,18 @@ TEST(CheckStats, ValidatesFgsortShapedBlobs) {
       R"({"programs":[{"program":"dsort","times":{"total_s":1.0},)"
       R"("stages":[{"stage":"read","pipelines":"p"}]}]})");
   EXPECT_FALSE(obs::check_stats(bad).empty());
+  // The report reads total_s and wall_seconds as wall times; a string
+  // there used to pass the check and fail the report.
+  const util::Json string_total = util::Json::parse(
+      R"({"programs":[{"program":"dsort","times":{"total_s":"1.0"},)"
+      R"("stages":[{"stage":"read","pipelines":"p","buffers":4,)"
+      R"("working_s":0.5,"accept_blocked_s":0.1,"convey_blocked_s":0.2}]}]})");
+  EXPECT_FALSE(obs::check_stats(string_total).empty());
+  const util::Json string_wall = util::Json::parse(
+      R"({"wall_seconds":"1.0","stages":[{"stage":"read","pipelines":"p",)"
+      R"("buffers":4,"working_s":0.5,"accept_blocked_s":0.1,)"
+      R"("convey_blocked_s":0.2}]})");
+  EXPECT_FALSE(obs::check_stats(string_wall).empty());
 }
 
 // ---------------------------------------------------------------------

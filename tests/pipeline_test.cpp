@@ -2,7 +2,6 @@
 // dynamic termination via close, the auxiliary-buffer feature, flush
 // hooks, stage statistics, error propagation, and API misuse checks.
 #include "core/fg.hpp"
-#include "exec_param.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,13 +25,7 @@ PipelineConfig small_config(std::string name, std::uint64_t rounds,
   return cfg;
 }
 
-// Every test replays under both channel policies, {auto,mpmc}.
-using PipelineP = test::WithChannels;
-INSTANTIATE_TEST_SUITE_P(Channels, PipelineP,
-                         ::testing::ValuesIn(test::kChannelMatrix),
-                         test::channel_param_name);
-
-TEST_P(PipelineP, FixedRoundsDeliverEveryRound) {
+TEST(Pipeline, FixedRoundsDeliverEveryRound) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 20));
   std::vector<std::uint64_t> rounds;
@@ -52,7 +45,7 @@ TEST_P(PipelineP, FixedRoundsDeliverEveryRound) {
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(rounds[i], i);
 }
 
-TEST_P(PipelineP, RoundsExceedBufferPool) {
+TEST(Pipeline, RoundsExceedBufferPool) {
   // 100 rounds through a pool of 2 buffers: recycling must reuse them.
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 100, 2));
@@ -69,7 +62,7 @@ TEST_P(PipelineP, RoundsExceedBufferPool) {
   EXPECT_EQ(distinct.size(), 2u);
 }
 
-TEST_P(PipelineP, SourceEmitsEmptyBuffers) {
+TEST(Pipeline, SourceEmitsEmptyBuffers) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 5));
   MapStage s("s", [&](Buffer& b) {
@@ -81,7 +74,7 @@ TEST_P(PipelineP, SourceEmitsEmptyBuffers) {
   g.run();
 }
 
-TEST_P(PipelineP, DynamicCloseStopsSource) {
+TEST(Pipeline, DynamicCloseStopsSource) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 0));
   int produced = 0, seen = 0;
@@ -100,7 +93,7 @@ TEST_P(PipelineP, DynamicCloseStopsSource) {
   EXPECT_EQ(seen, 13);
 }
 
-TEST_P(PipelineP, ConveyAndCloseDeliversLastBuffer) {
+TEST(Pipeline, ConveyAndCloseDeliversLastBuffer) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 0));
   int produced = 0;
@@ -122,7 +115,7 @@ TEST_P(PipelineP, ConveyAndCloseDeliversLastBuffer) {
   EXPECT_EQ(seen.back(), 4);
 }
 
-TEST_P(PipelineP, MidPipelineRecycleSkipsDownstream) {
+TEST(Pipeline, MidPipelineRecycleSkipsDownstream) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 10));
   int downstream = 0;
@@ -140,7 +133,7 @@ TEST_P(PipelineP, MidPipelineRecycleSkipsDownstream) {
   EXPECT_EQ(downstream, 5);
 }
 
-TEST_P(PipelineP, AuxBuffersAvailableWhenConfigured) {
+TEST(Pipeline, AuxBuffersAvailableWhenConfigured) {
   PipelineGraph g;
   auto cfg = small_config("p", 3);
   cfg.aux_buffers = true;
@@ -157,7 +150,7 @@ TEST_P(PipelineP, AuxBuffersAvailableWhenConfigured) {
   g.run();
 }
 
-TEST_P(PipelineP, FlushHookRunsOncePerPipeline) {
+TEST(Pipeline, FlushHookRunsOncePerPipeline) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 4));
   std::atomic<int> flushes{0};
@@ -169,7 +162,7 @@ TEST_P(PipelineP, FlushHookRunsOncePerPipeline) {
   EXPECT_EQ(flushes.load(), 1);
 }
 
-TEST_P(PipelineP, FlushSeesAllBuffersFirst) {
+TEST(Pipeline, FlushSeesAllBuffersFirst) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 7));
   int buffers_at_flush = -1;
@@ -186,7 +179,7 @@ TEST_P(PipelineP, FlushSeesAllBuffersFirst) {
   EXPECT_EQ(buffers_at_flush, 7);
 }
 
-TEST_P(PipelineP, TagTravelsWithBuffer) {
+TEST(Pipeline, TagTravelsWithBuffer) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 6));
   std::vector<std::uint64_t> tags;
@@ -205,7 +198,7 @@ TEST_P(PipelineP, TagTravelsWithBuffer) {
   EXPECT_EQ(tags[5], 55u);
 }
 
-TEST_P(PipelineP, StatsCountBuffersPerStage) {
+TEST(Pipeline, StatsCountBuffersPerStage) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 12));
   MapStage a("a", [](Buffer&) { return StageAction::kConvey; });
@@ -232,7 +225,7 @@ TEST_P(PipelineP, StatsCountBuffersPerStage) {
   EXPECT_TRUE(saw_a && saw_b && saw_source && saw_sink);
 }
 
-TEST_P(PipelineP, SlowStageAccumulatesWorkTime) {
+TEST(Pipeline, SlowStageAccumulatesWorkTime) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 5));
   MapStage slow("slow", [](Buffer&) {
@@ -251,7 +244,7 @@ TEST_P(PipelineP, SlowStageAccumulatesWorkTime) {
   }
 }
 
-TEST_P(PipelineP, StageExceptionPropagatesAndUnwinds) {
+TEST(Pipeline, StageExceptionPropagatesAndUnwinds) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 100));
   MapStage boom("boom", [](Buffer& b) -> StageAction {
@@ -264,7 +257,7 @@ TEST_P(PipelineP, StageExceptionPropagatesAndUnwinds) {
   EXPECT_THROW(g.run(), std::runtime_error);
 }
 
-TEST_P(PipelineP, RunIsRepeatable) {
+TEST(Pipeline, RunIsRepeatable) {
   // Graphs execute a cached plan on a fresh runtime per run(): same
   // results every time, stats reset in between.
   PipelineGraph g;
@@ -285,18 +278,18 @@ TEST_P(PipelineP, RunIsRepeatable) {
   }
 }
 
-TEST_P(PipelineP, EmptyGraphRejected) {
+TEST(Pipeline, EmptyGraphRejected) {
   PipelineGraph g;
   EXPECT_THROW(g.run(), std::logic_error);
 }
 
-TEST_P(PipelineP, PipelineWithoutStagesRejected) {
+TEST(Pipeline, PipelineWithoutStagesRejected) {
   PipelineGraph g;
   g.add_pipeline(small_config("p", 1));
   EXPECT_THROW(g.run(), std::logic_error);
 }
 
-TEST_P(PipelineP, DuplicateStageInOnePipelineRejected) {
+TEST(Pipeline, DuplicateStageInOnePipelineRejected) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 1));
   MapStage s("s", [](Buffer&) { return StageAction::kConvey; });
@@ -304,7 +297,7 @@ TEST_P(PipelineP, DuplicateStageInOnePipelineRejected) {
   EXPECT_THROW(p.add_stage(s), std::logic_error);
 }
 
-TEST_P(PipelineP, AddStageAfterBuildRejected) {
+TEST(Pipeline, AddStageAfterBuildRejected) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 1));
   MapStage s("s", [](Buffer&) { return StageAction::kConvey; });
@@ -315,7 +308,7 @@ TEST_P(PipelineP, AddStageAfterBuildRejected) {
   EXPECT_THROW(g.add_pipeline(small_config("q", 1)), std::logic_error);
 }
 
-TEST_P(PipelineP, ZeroBuffersRejected) {
+TEST(Pipeline, ZeroBuffersRejected) {
   PipelineGraph g;
   auto cfg = small_config("p", 1);
   cfg.num_buffers = 0;
@@ -325,7 +318,7 @@ TEST_P(PipelineP, ZeroBuffersRejected) {
   EXPECT_THROW(g.run(), std::logic_error);
 }
 
-TEST_P(PipelineP, MapStageRunDirectCallRejected) {
+TEST(Pipeline, MapStageRunDirectCallRejected) {
   MapStage s("s", [](Buffer&) { return StageAction::kConvey; });
   // MapStages are driven by the framework loop; calling run() directly is
   // a programming error.
@@ -340,7 +333,7 @@ TEST_P(PipelineP, MapStageRunDirectCallRejected) {
   EXPECT_THROW(s.run(ctx), std::logic_error);
 }
 
-TEST_P(PipelineP, PlannedThreadsForLinearPipeline) {
+TEST(Pipeline, PlannedThreadsForLinearPipeline) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 1));
   MapStage a("a", [](Buffer&) { return StageAction::kConvey; });
@@ -351,7 +344,7 @@ TEST_P(PipelineP, PlannedThreadsForLinearPipeline) {
   EXPECT_EQ(g.planned_threads(), 4u);
 }
 
-TEST_P(PipelineP, BoundedQueuesStillComplete) {
+TEST(Pipeline, BoundedQueuesStillComplete) {
   PipelineGraph g;
   auto cfg = small_config("p", 50, 4);
   cfg.queue_capacity = 1;
@@ -368,7 +361,7 @@ TEST_P(PipelineP, BoundedQueuesStillComplete) {
   EXPECT_EQ(n, 50);
 }
 
-TEST_P(PipelineP, CustomStageSinglePipeline) {
+TEST(Pipeline, CustomStageSinglePipeline) {
   // A custom stage in a single pipeline: full control over accept/convey.
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 0));

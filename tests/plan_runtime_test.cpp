@@ -90,116 +90,6 @@ TEST(Plan, FreezingIsSticky) {
 }
 
 // ---------------------------------------------------------------------------
-// Channel-kind analysis: which queues the plan proves SPSC-eligible
-// ---------------------------------------------------------------------------
-
-TEST(Plan, LinearChainQueuesAreSpscExceptRecycle) {
-  // source -> a -> b -> sink: every hop has exactly one single-threaded
-  // producer worker and one single-threaded consumer worker, so every
-  // queue but the source's recycle queue (multi-producer: sink recycles,
-  // stages close) gets the wait-free ring.
-  PipelineGraph g;
-  auto& p = g.add_pipeline(small_config("p", 4));
-  MapStage a("a", [](Buffer&) { return StageAction::kConvey; });
-  MapStage b("b", [](Buffer&) { return StageAction::kConvey; });
-  p.add_stage(a);
-  p.add_stage(b);
-  const ExecutionPlan& plan = g.plan();
-  const QueueIndex recycle = plan.source_in(0);
-  for (QueueIndex qi = 0; qi < plan.queues().size(); ++qi) {
-    const PlannedQueue& q = plan.queues()[qi];
-    if (qi == recycle) {
-      EXPECT_EQ(q.kind, ChannelKind::kMpmc);
-    } else {
-      EXPECT_EQ(q.kind, ChannelKind::kSpsc);
-      // The provable resident bound covers the whole feeding pool plus
-      // its caboose — the ring can hold every token that can ever rest.
-      EXPECT_GE(q.spsc_bound, 3u + 1u);
-    }
-  }
-}
-
-TEST(Plan, ReplicatedStageDemotesItsQueuesToMpmc) {
-  // tagger -> work(x4) -> sink: work's inbound queue has 4 consumer
-  // threads and the sink's inbound has 4 producers — both MPMC.
-  PipelineGraph g;
-  auto& p = g.add_pipeline(small_config("p", 4));
-  MapStage tag("tag", [](Buffer&) { return StageAction::kConvey; });
-  MapStage work("work", [](Buffer&) { return StageAction::kConvey; });
-  p.add_stage(tag);
-  p.add_stage_replicated(work, 4);
-  const ExecutionPlan& plan = g.plan();
-  std::size_t spsc = 0, mpmc = 0;
-  for (const PlannedWorker& w : plan.workers()) {
-    if (w.label == "work") {
-      EXPECT_EQ(plan.queues()[w.in].kind, ChannelKind::kMpmc);
-      for (const auto& [pid, qi] : w.out) {
-        EXPECT_EQ(plan.queues()[qi].kind, ChannelKind::kMpmc);
-      }
-    }
-    if (w.label == "tag") {
-      // One single-threaded producer (source side) feeding one
-      // single-threaded consumer: still eligible.
-      EXPECT_EQ(plan.queues()[w.in].kind, ChannelKind::kSpsc);
-    }
-  }
-  for (const PlannedQueue& q : plan.queues()) {
-    spsc += q.kind == ChannelKind::kSpsc;
-    mpmc += q.kind == ChannelKind::kMpmc;
-  }
-  EXPECT_EQ(spsc, 1u);  // only source -> tag
-  EXPECT_EQ(mpmc, 3u);  // work's in, sink's in, recycle
-}
-
-TEST(Plan, VirtualWorkerQueuesStayEligible) {
-  // Two pipelines sharing one virtual stage thread: each queue still has
-  // exactly one producer worker and one consumer worker (the shared
-  // worker appears once, whatever its member count), so the hops around
-  // the virtual stage stay SPSC.
-  PipelineGraph g;
-  auto& pa = g.add_pipeline(small_config("a", 3));
-  auto& pb = g.add_pipeline(small_config("b", 3));
-  MapStage shared("shared", [](Buffer&) { return StageAction::kConvey; });
-  pa.add_stage(shared, StageMode::kVirtual);
-  pb.add_stage(shared, StageMode::kVirtual);
-  const ExecutionPlan& plan = g.plan();
-  for (QueueIndex qi = 0; qi < plan.queues().size(); ++qi) {
-    const bool recycle = qi == plan.source_in(0) || qi == plan.source_in(1);
-    EXPECT_EQ(plan.queues()[qi].kind,
-              recycle ? ChannelKind::kMpmc : ChannelKind::kSpsc);
-  }
-}
-
-TEST(Plan, RuntimeHonoursPlannedKindsAndMpmcOverride) {
-  PipelineGraph g;
-  auto& p = g.add_pipeline(small_config("p", 6));
-  MapStage a("a", [](Buffer&) { return StageAction::kConvey; });
-  p.add_stage(a);
-  g.run();
-  std::size_t spsc = 0;
-  for (const QueueStats& q : g.run_stats().queues) {
-    spsc += q.kind == ChannelKind::kSpsc;
-  }
-  if (std::getenv("FG_CHANNELS") == nullptr) {
-    EXPECT_EQ(spsc, 2u);
-  }
-
-  // The conformance/ablation setting: force the blocking queue
-  // everywhere regardless of what the plan proved.
-  PipelineGraph g2;
-  auto& p2 = g2.add_pipeline(small_config("p", 6));
-  MapStage a2("a", [](Buffer&) { return StageAction::kConvey; });
-  p2.add_stage(a2);
-  RuntimeOptions opt;
-  opt.channels = ChannelPolicy::kMpmcOnly;
-  g2.set_runtime_options(opt);
-  g2.run();
-  for (const QueueStats& q : g2.run_stats().queues) {
-    EXPECT_EQ(q.kind, ChannelKind::kMpmc);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rerunnable graphs
 // ---------------------------------------------------------------------------
 
@@ -361,6 +251,8 @@ TEST(Events, QueueStatsBalanceOnCleanRun) {
     pushes += q.pushes;
     pops += q.pops;
     EXPECT_GE(q.pushes, q.pops);
+    // Every queue is the blocking MPMC queue; no hop gets the SPSC ring.
+    EXPECT_EQ(q.kind, ChannelKind::kMpmc);
   }
   EXPECT_GT(pushes, 0u);
   // Residents (buffers resting in the source's recycle queue at exit)

@@ -3,7 +3,6 @@
 // parallelism, so these tests use order-insensitive stages and check
 // completeness, speedup of blocking work, termination, and validation.
 #include "core/fg.hpp"
-#include "exec_param.hpp"
 #include "util/timer.hpp"
 
 #include <gtest/gtest.h>
@@ -26,13 +25,7 @@ PipelineConfig cfg_of(std::uint64_t rounds, std::size_t buffers = 8) {
   return c;
 }
 
-// Every test replays under both channel policies, {auto,mpmc}.
-using ReplicatedP = test::WithChannels;
-INSTANTIATE_TEST_SUITE_P(Channels, ReplicatedP,
-                         ::testing::ValuesIn(test::kChannelMatrix),
-                         test::channel_param_name);
-
-TEST_P(ReplicatedP, ProcessesEveryBufferExactlyOnce) {
+TEST(Replicated, ProcessesEveryBufferExactlyOnce) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(500));
   std::mutex m;
@@ -53,7 +46,7 @@ TEST_P(ReplicatedP, ProcessesEveryBufferExactlyOnce) {
   EXPECT_EQ(seen.size(), 500u);
 }
 
-TEST_P(ReplicatedP, PlannedThreadsCountReplicas) {
+TEST(Replicated, PlannedThreadsCountReplicas) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(1));
   MapStage s("s", [](Buffer&) { return StageAction::kConvey; });
@@ -62,7 +55,7 @@ TEST_P(ReplicatedP, PlannedThreadsCountReplicas) {
   EXPECT_EQ(g.planned_threads(), 7u);
 }
 
-TEST_P(ReplicatedP, BlockingWorkOverlapsAcrossReplicas) {
+TEST(Replicated, BlockingWorkOverlapsAcrossReplicas) {
   // A stage sleeping 10 ms per buffer, 32 rounds: serial floor is 320 ms;
   // with 4 replicas and a deep pool it must take well under half that.
   PipelineGraph g;
@@ -77,7 +70,7 @@ TEST_P(ReplicatedP, BlockingWorkOverlapsAcrossReplicas) {
   EXPECT_LT(sw.elapsed_seconds(), 0.55 * 0.320);
 }
 
-TEST_P(ReplicatedP, SingleReplicaBehavesNormally) {
+TEST(Replicated, SingleReplicaBehavesNormally) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(20));
   std::atomic<int> n{0};
@@ -90,7 +83,7 @@ TEST_P(ReplicatedP, SingleReplicaBehavesNormally) {
   EXPECT_EQ(n.load(), 20);
 }
 
-TEST_P(ReplicatedP, DownstreamSeesAllBuffersBeforeCaboose) {
+TEST(Replicated, DownstreamSeesAllBuffersBeforeCaboose) {
   // The caboose must not overtake buffers still in flight in other
   // replicas: the downstream count at flush time must be complete.
   for (int iter = 0; iter < 10; ++iter) {
@@ -113,7 +106,7 @@ TEST_P(ReplicatedP, DownstreamSeesAllBuffersBeforeCaboose) {
   }
 }
 
-TEST_P(ReplicatedP, CloseFromReplicaStopsPipeline) {
+TEST(Replicated, CloseFromReplicaStopsPipeline) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(0));
   std::atomic<int> emitted{0};
@@ -134,7 +127,7 @@ TEST_P(ReplicatedP, CloseFromReplicaStopsPipeline) {
   EXPECT_LE(got.load(), 60);  // a few in-flight extras are inherent
 }
 
-TEST_P(ReplicatedP, FlushRunsOncePerPipeline) {
+TEST(Replicated, FlushRunsOncePerPipeline) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(40));
   std::atomic<int> flushes{0};
@@ -146,7 +139,7 @@ TEST_P(ReplicatedP, FlushRunsOncePerPipeline) {
   EXPECT_EQ(flushes.load(), 1);
 }
 
-TEST_P(ReplicatedP, StatsAggregateAcrossReplicas) {
+TEST(Replicated, StatsAggregateAcrossReplicas) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(100));
   MapStage s("rep", [](Buffer&) { return StageAction::kConvey; });
@@ -159,7 +152,7 @@ TEST_P(ReplicatedP, StatsAggregateAcrossReplicas) {
   }
 }
 
-TEST_P(ReplicatedP, ExceptionInReplicaAborts) {
+TEST(Replicated, ExceptionInReplicaAborts) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(100));
   MapStage s("boom", [](Buffer& b) -> StageAction {
@@ -170,14 +163,14 @@ TEST_P(ReplicatedP, ExceptionInReplicaAborts) {
   EXPECT_THROW(g.run(), std::runtime_error);
 }
 
-TEST_P(ReplicatedP, ZeroReplicasRejected) {
+TEST(Replicated, ZeroReplicasRejected) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(1));
   MapStage s("s", [](Buffer&) { return StageAction::kConvey; });
   EXPECT_THROW(p.add_stage_replicated(s, 0), std::logic_error);
 }
 
-TEST_P(ReplicatedP, MultiplePipelinesRejected) {
+TEST(Replicated, MultiplePipelinesRejected) {
   PipelineGraph g;
   auto& pa = g.add_pipeline(cfg_of(1));
   auto& pb = g.add_pipeline(cfg_of(1));
@@ -187,7 +180,7 @@ TEST_P(ReplicatedP, MultiplePipelinesRejected) {
   EXPECT_THROW(g.run(), std::logic_error);
 }
 
-TEST_P(ReplicatedP, TwoReplicatedStagesInOnePipeline) {
+TEST(Replicated, TwoReplicatedStagesInOnePipeline) {
   PipelineGraph g;
   auto& p = g.add_pipeline(cfg_of(200));
   std::atomic<int> a{0}, b{0};

@@ -58,6 +58,14 @@ TEST(FgsortCli, TrailingGarbageInRecordsRejected) {
 TEST(FgsortCli, OutOfRangeRecordBytesRejected) {
   expect_flag_diagnostic(run(g_fgsort + " --record-bytes 0"), 2,
                          "--record-bytes", "0");
+  // Runs need a record of at least 16 bytes (make_record) and at most
+  // 64 KiB (the stripe layout); both used to fail only mid-run, exit 3.
+  const std::string small_run =
+      " --program dsort --nodes 2 --records 4096 --latency none";
+  expect_flag_diagnostic(run(g_fgsort + small_run + " --record-bytes 8"), 2,
+                         "--record-bytes", "8");
+  expect_flag_diagnostic(run(g_fgsort + small_run + " --record-bytes 65537"),
+                         2, "--record-bytes", "65537");
 }
 
 TEST(FgsortCli, GarbageWatchdogRejected) {
@@ -84,6 +92,18 @@ TEST(FgsortCli, DirectRequiresNativeBackend) {
   const RunResult r = run(g_fgsort + " --direct");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("--direct requires --disk native"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(FgsortCli, SeekAwareRequiresStdioBackend) {
+  // Only the simulated spindle charges seeks; a native run used to exit 0
+  // labelled "seek-aware" with nothing charged.
+  const RunResult r = run(g_fgsort +
+                          " --program dsort --nodes 2 --records 4096"
+                          " --latency none --disk native --seek-aware");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--seek-aware requires --disk stdio"),
             std::string::npos)
       << r.output;
 }
@@ -130,6 +150,13 @@ TEST(FgsortCli, UnknownFlagIsUsageError) {
   // Stages always run one thread each; there is no executor to pick.
   EXPECT_EQ(run(g_fgsort + " --executor tasks").exit_code, 2);
   EXPECT_EQ(run(g_fgsort + " --workers 4").exit_code, 2);
+  // Every queue is the one blocking MPMC queue; there is no channel kind
+  // to pick.
+  EXPECT_EQ(run(g_fgsort +
+                " --program dsort --nodes 2 --records 4096 --latency none"
+                " --channels mpmc")
+                .exit_code,
+            2);
 }
 
 TEST(FgnodeCli, GarbageNodesNamesTheFlag) {

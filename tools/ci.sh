@@ -31,6 +31,15 @@ run_config tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFG_SANITIZE=thread
   run_config asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFG_SANITIZE=address
 )
 
+# fgbench compiles src/ on its own and includes core, sort, pdm and obs
+# headers, so a header change can break the benchmark without failing
+# any configuration above.  Build it (no run: fgbench/run.py is the
+# ledger, not a ci gate).
+echo "==> build fgbench"
+cmake -S "$root/fgbench" -B "$root/build-ci-fgbench" \
+  -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$root/build-ci-fgbench" -j "$jobs"
+
 # Observability round trip: run a small traced sort, validate both blobs
 # structurally (fgtrace --check exits nonzero on a malformed trace —
 # unpaired spans, missing thread names, round-id gaps), and keep the

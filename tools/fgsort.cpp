@@ -10,11 +10,12 @@
 //     --nodes N                         (default: 16)
 //     --records N                       (default: 1048576; csort rounds
 //                                        this to a compatible geometry)
-//     --record-bytes 16|64|...          (default: 16)
+//     --record-bytes 16..65536          (default: 16)
 //     --dist uniform|equal|normal|poisson|sorted|reversed|clustered
 //     --seed S                          (default: 1)
 //     --latency paper|none              (default: paper)
-//     --seek-aware                      (seek-aware disk charging)
+//     --seek-aware                      (seek-aware disk charging;
+//                                        stdio backend only)
 //     --stats                           (print per-node substrate counters)
 //     --stats-json FILE                 (write one JSON blob per run:
 //                                        config, phase times, per-stage
@@ -33,10 +34,6 @@
 //     --progress SECS                   (heartbeat to stderr every SECS
 //                                        seconds: rounds/s, disk MB/s,
 //                                        queue depths)
-//     --channels auto|mpmc              (auto lets the plan pick the
-//                                        wait-free SPSC ring where it
-//                                        proved eligibility; mpmc forces
-//                                        the blocking queue everywhere)
 //     --disk stdio|native               (disk backend; default stdio.
 //                                        stdio simulates the paper's
 //                                        spindles — native's pread/
@@ -138,7 +135,6 @@ struct Options {
                "          [--fabric sim|tcp|shm] [--rank R]\n"
                "          [--peers host:port,...] [--shm-fd FD]\n"
                "          [--recv-timeout-ms N]\n"
-               "          [--channels auto|mpmc]\n"
                "          [--disk stdio|native] [--direct]\n",
                argv0);
   std::exit(2);
@@ -174,7 +170,7 @@ Options parse(int argc, char** argv) try {
     if (a == "--program") opt.program = need(i);
     else if (a == "--nodes") opt.cfg.nodes = static_cast<int>(util::parse_int(need(i), "--nodes", 1, 1 << 20));
     else if (a == "--records") opt.cfg.records = util::parse_u64(need(i), "--records", 1);
-    else if (a == "--record-bytes") opt.cfg.record_bytes = static_cast<std::uint32_t>(util::parse_int(need(i), "--record-bytes", 1, 1 << 20));
+    else if (a == "--record-bytes") opt.cfg.record_bytes = static_cast<std::uint32_t>(util::parse_int(need(i), "--record-bytes", 16, 65536));
     else if (a == "--dist") opt.cfg.dist = parse_dist(need(i));
     else if (a == "--seed") opt.cfg.seed = util::parse_u64(need(i), "--seed");
     else if (a == "--latency") {
@@ -208,15 +204,6 @@ Options parse(int argc, char** argv) try {
     else if (a == "--rank") opt.rank = static_cast<int>(util::parse_int(need(i), "--rank", 0, (1 << 20) - 1));
     else if (a == "--disk") opt.disk = pdm::parse_disk_backend(need(i));
     else if (a == "--direct") opt.direct = true;
-    else if (a == "--channels") {
-      const std::string v = need(i);
-      if (v == "auto") opt.cfg.runtime.channels = ChannelPolicy::kAuto;
-      else if (v == "mpmc") opt.cfg.runtime.channels = ChannelPolicy::kMpmcOnly;
-      else {
-        std::fprintf(stderr, "fgsort: unknown channel policy '%s'\n", v.c_str());
-        std::exit(2);
-      }
-    }
     else if (a == "--peers") {
       std::string list = need(i);
       std::size_t pos = 0;
@@ -245,6 +232,12 @@ Options parse(int argc, char** argv) try {
   }
   if (opt.direct && opt.disk == pdm::DiskBackend::kStdio) {
     std::fprintf(stderr, "fgsort: --direct requires --disk native\n");
+    std::exit(2);
+  }
+  // Seek charging happens on the simulated spindle; native charges
+  // nothing, so the flag would only mislabel the run.
+  if (opt.seek_aware && opt.disk != pdm::DiskBackend::kStdio) {
+    std::fprintf(stderr, "fgsort: --seek-aware requires --disk stdio\n");
     std::exit(2);
   }
   if (opt.program != "dsort" && opt.program != "csort" &&
@@ -577,10 +570,6 @@ std::string stats_json_blob(const Options& opt,
   w.kv("direct", opt.direct);
   w.kv("watchdog_ms", opt.cfg.watchdog_ms);
   w.kv("fault_spec", opt.fault_spec ? *opt.fault_spec : std::string{});
-  w.kv("channels",
-       resolve_channels(opt.cfg.runtime.channels) == ChannelPolicy::kMpmcOnly
-           ? "mpmc"
-           : "auto");
   w.end_object();
   w.key("programs");
   w.begin_array();
