@@ -1,7 +1,9 @@
 #include "comm/fabric.hpp"
 
+#include "comm/mailbox.hpp"
 #include "obs/span.hpp"
 #include "util/fault.hpp"
+#include "util/log.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -10,22 +12,90 @@ namespace fg::comm {
 
 namespace {
 
-std::span<const std::byte> as_bytes_span(const std::uint64_t* p,
-                                         std::size_t n) {
-  return {reinterpret_cast<const std::byte*>(p), n * sizeof(std::uint64_t)};
+/// Receives and probes name application tags (>= 0) or kAnyTag.
+void check_recv_tag(int tag, const char* what) {
+  if (tag < 0 && tag != kAnyTag) {
+    throw std::invalid_argument(
+        std::string("fg::comm::Fabric::") + what +
+        ": application tags must be >= 0 (or kAnyTag)");
+  }
 }
 
 }  // namespace
 
-Fabric::Fabric(int nodes) : nodes_(nodes) {
+Fabric::Fabric(int nodes, util::LatencyModel model)
+    : nodes_(nodes), model_(model) {
   if (nodes <= 0) {
     throw std::invalid_argument("fg::comm::Fabric: need at least one node");
   }
+  for (NodeId n = 0; n < nodes; ++n) {
+    mailboxes_.push_back(std::make_unique<Mailbox>(n));
+  }
+  hosted_ = std::vector<std::atomic<bool>>(static_cast<std::size_t>(nodes));
   traffic_.resize(static_cast<std::size_t>(nodes));
   crashed_ = std::vector<std::atomic<bool>>(static_cast<std::size_t>(nodes));
   coll_seq_ = std::vector<std::atomic<std::uint32_t>>(
       static_cast<std::size_t>(nodes) *
       static_cast<std::size_t>(Coll::kCount));
+}
+
+Fabric::~Fabric() = default;
+
+Mailbox& Fabric::hosted(NodeId n, const char* what) const {
+  const auto i = static_cast<std::size_t>(n);
+  if (!hosted_[i].load(std::memory_order_acquire)) {
+    throw std::logic_error(std::string("fg::comm::Fabric::") + what +
+                           ": this process does not host rank " +
+                           std::to_string(n) + " (or has not connected yet)");
+  }
+  return *mailboxes_[i];
+}
+
+util::TimePoint Fabric::delivery_time(std::uint64_t delay_ns) {
+  const util::TimePoint now = util::Clock::now();
+  const auto room = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        util::TimePoint::max() - now)
+                        .count();
+  if (delay_ns > static_cast<std::uint64_t>(room)) return util::TimePoint::max();
+  return now + std::chrono::duration_cast<util::Duration>(
+                   std::chrono::nanoseconds(delay_ns));
+}
+
+void Fabric::send_message(NodeId, NodeId dst, int, std::span<const std::byte>,
+                          util::Duration) {
+  throw std::logic_error("fg::comm::Fabric::send: rank " +
+                         std::to_string(dst) +
+                         " is not hosted and this fabric has no wire");
+}
+
+void Fabric::abort() {
+  aborted_.store(true, std::memory_order_relaxed);
+  for (auto& mb : mailboxes_) mb->abort();
+}
+
+void Fabric::abort_from_peer(NodeId me, std::string detail, bool warn,
+                             bool propagate) {
+  if (warn) {
+    FG_LOG(kWarn) << "fg::comm::Fabric[rank " << me
+                  << "]: aborting run: " << detail;
+  }
+  {
+    std::lock_guard<std::mutex> lock(detail_mutex_);
+    if (abort_detail_.empty()) abort_detail_ = std::move(detail);
+  }
+  Fabric::abort();
+  if (propagate) abort();
+}
+
+std::string Fabric::abort_detail() const {
+  std::lock_guard<std::mutex> lock(detail_mutex_);
+  return abort_detail_;
+}
+
+std::uint64_t Fabric::recv_pool_reuses() const {
+  std::uint64_t n = 0;
+  for (const auto& mb : mailboxes_) n += mb->pool().reuses();
+  return n;
 }
 
 void Fabric::check_crash(NodeId node) {
@@ -89,6 +159,7 @@ void Fabric::send_payload(NodeId src, NodeId dst, int tag,
   check_node(dst, "send");
   check_crash(src);
   if (aborted()) throw FabricAborted{};
+  hosted(src, "send");
 
   // Injected wire faults; self-sends never touch the wire, so they can
   // neither be dropped nor delayed.
@@ -107,7 +178,17 @@ void Fabric::send_payload(NodeId src, NodeId dst, int tag,
         delay_spike_ns_.load(std::memory_order_relaxed)));
   }
 
-  send_message(src, dst, tag, data, spike);
+  if (hosted_[static_cast<std::size_t>(dst)].load(std::memory_order_acquire)) {
+    // Between hosted ranks the latency model is the wire: the message
+    // becomes visible after its modeled cost, and a self-send is free.
+    const util::TimePoint deliver_at =
+        util::Clock::now() + spike +
+        (src == dst ? util::Duration::zero() : model_.cost(data.size()));
+    Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dst)];
+    mb.deposit(src, tag, mb.pool().copy(data), deliver_at);
+  } else {
+    send_message(src, dst, tag, data, spike);
+  }
 
   {
     std::lock_guard<std::mutex> lock(traffic_mutex_);
@@ -119,10 +200,7 @@ void Fabric::send_payload(NodeId src, NodeId dst, int tag,
 
 RecvResult Fabric::recv(NodeId me, NodeId src, int tag,
                         std::span<std::byte> out) {
-  if (tag < 0 && tag != kAnyTag) {
-    throw std::invalid_argument(
-        "fg::comm::Fabric::recv: application tags must be >= 0 (or kAnyTag)");
-  }
+  check_recv_tag(tag, "recv");
   obs::ScopedSpan span(obs::SpanKind::kFabricRecv,
                        static_cast<std::uint32_t>(me));
   const RecvResult r = recv_payload(me, src, tag, out);
@@ -136,7 +214,7 @@ RecvResult Fabric::recv_payload(NodeId me, NodeId src, int tag,
   if (src != kAnySource) check_node(src, "recv");
   check_crash(me);
 
-  const RecvResult r = recv_message(me, src, tag, out);
+  const RecvResult r = hosted(me, "recv").take(src, tag, out, recv_deadline());
 
   std::lock_guard<std::mutex> lock(traffic_mutex_);
   auto& t = traffic_[static_cast<std::size_t>(me)];
@@ -146,8 +224,15 @@ RecvResult Fabric::recv_payload(NodeId me, NodeId src, int tag,
 }
 
 bool Fabric::probe(NodeId me, NodeId src, int tag) const {
+  check_recv_tag(tag, "probe");
   check_node(me, "probe");
-  return probe_message(me, src, tag);
+  if (src != kAnySource) check_node(src, "probe");
+  // The flag only: a probe is not a fabric.crash op, so probing cannot
+  // move where a seeded fault spec fires.
+  if (crashed_[static_cast<std::size_t>(me)].load(std::memory_order_relaxed)) {
+    throw FabricNodeCrashed(me);
+  }
+  return hosted(me, "probe").probe(src, tag);
 }
 
 void Fabric::barrier(NodeId me) {
@@ -273,24 +358,6 @@ std::vector<std::size_t> Fabric::alltoallv(
   return sizes;
 }
 
-void Fabric::sendrecv_replace(NodeId me, NodeId dst, NodeId src, int tag,
-                              std::span<std::byte> data) {
-  if (tag < 0) {
-    throw std::invalid_argument(
-        "fg::comm::Fabric::sendrecv_replace: application tags must be >= 0");
-  }
-  check_node(me, "sendrecv_replace");
-  check_node(dst, "sendrecv_replace");
-  check_node(src, "sendrecv_replace");
-  if (dst == me && src == me) return;  // exchange with self is a no-op
-  obs::ScopedSpan span(obs::SpanKind::kFabricCollective,
-                       static_cast<std::uint32_t>(me), data.size());
-  send_payload(me, dst, tag, data);
-  std::vector<std::byte> tmp(data.size());
-  recv_payload(me, src, tag, tmp);
-  std::memcpy(data.data(), tmp.data(), data.size());
-}
-
 std::vector<std::uint64_t> Fabric::allgather_u64(NodeId me,
                                                  std::uint64_t value) {
   check_node(me, "allgather_u64");
@@ -302,7 +369,8 @@ std::vector<std::uint64_t> Fabric::allgather_u64(NodeId me,
   all[static_cast<std::size_t>(me)] = value;
   for (NodeId n = 0; n < size(); ++n) {
     if (n == me) continue;
-    send_payload(me, n, tag, as_bytes_span(&value, 1));
+    send_payload(me, n, tag,
+                 {reinterpret_cast<const std::byte*>(&value), sizeof value});
   }
   for (NodeId n = 0; n < size(); ++n) {
     if (n == me) continue;
@@ -311,29 +379,6 @@ std::vector<std::uint64_t> Fabric::allgather_u64(NodeId me,
     all[static_cast<std::size_t>(n)] = v;
   }
   return all;
-}
-
-std::vector<std::uint64_t> Fabric::allreduce_sum_u64(
-    NodeId me, std::span<const std::uint64_t> values) {
-  check_node(me, "allreduce_sum_u64");
-  obs::ScopedSpan span(obs::SpanKind::kFabricCollective,
-                       static_cast<std::uint32_t>(me));
-  const int tag =
-      coll_tag(Coll::kAllreduce, 0, next_seq(me, Coll::kAllreduce));
-  std::vector<std::uint64_t> sum(values.begin(), values.end());
-  for (NodeId n = 0; n < size(); ++n) {
-    if (n == me) continue;
-    send_payload(me, n, tag, as_bytes_span(values.data(), values.size()));
-  }
-  std::vector<std::uint64_t> incoming(values.size());
-  for (NodeId n = 0; n < size(); ++n) {
-    if (n == me) continue;
-    recv_payload(me, n, tag,
-                 {reinterpret_cast<std::byte*>(incoming.data()),
-                  incoming.size() * sizeof(std::uint64_t)});
-    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += incoming[i];
-  }
-  return sum;
 }
 
 TrafficStats Fabric::stats(NodeId node) const {

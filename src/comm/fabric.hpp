@@ -1,26 +1,32 @@
 // The interprocessor-communication substrate.
 //
 // The paper ran on a 16-node Beowulf cluster with a thread-safe commercial
-// MPI (ChaMPIon/Pro) over 2 Gb/s Myrinet.  This header defines the abstract
-// Fabric interface that stands in for that MPI: matched send/recv with tags,
-// MPI_Sendrecv_replace, MPI_Alltoall, plus the small collectives the sorting
-// programs need (barrier, broadcast, allgather, allreduce-style sums).
-// Everything is thread-safe: FG runs pipeline stages on many threads per
-// node, exactly as the paper requires of its MPI.
+// MPI (ChaMPIon/Pro) over 2 Gb/s Myrinet.  This header defines the Fabric
+// that stands in for that MPI: matched send/recv with tags, MPI_Alltoall
+// and MPI_Alltoallv, plus the small collectives the sorting programs need
+// (barrier, broadcast, allgather).  Everything is thread-safe: FG runs
+// pipeline stages on many threads per node, exactly as the paper requires
+// of its MPI.
 //
-// Two backends implement the delivery hooks:
+// The base class is the one delivery path.  It delivers into a Mailbox
+// (the matched-message queue, with its payload pool) for every rank this
+// process hosts, and does everything above the wire once: argument
+// validation, fault injection (drop/delay/crash), delivery between hosted
+// ranks under the latency model, matched receive and probe, traffic
+// counters, comm spans, the abort cause, and all collectives layered on
+// matched send/recv.  Three backends add only their wire:
 //
-//   - SimFabric (sim_fabric.hpp): the whole cluster in one process, each
-//     "node" a set of threads, with an affine latency/bandwidth cost model
-//     charged as *delivery time*.
-//   - TcpFabric (tcp_fabric.hpp): each node its own OS process, one
+//   - SimFabric (sim_fabric.hpp): the whole cluster in one process, every
+//     rank hosted, so it has no wire at all; the latency model is charged
+//     as *delivery time*.
+//   - TcpFabric (tcp_fabric.hpp): each rank its own OS process, one
 //     full-duplex TCP connection per peer, a per-peer receiver thread
-//     feeding the same matched-message queue.
+//     handing frames to the base.
+//   - ShmFabric (shm_fabric.hpp): each rank its own process on one host,
+//     one shared-memory ring per ordered rank pair, a per-peer receiver
+//     thread handing messages to the base.
 //
-// The base class implements everything above the wire once — argument
-// validation, fault injection (drop/delay/crash), traffic counters, comm
-// spans, and all collectives layered on matched send/recv — so the two
-// backends cannot drift in semantics, only in transport.
+// So the backends cannot drift in semantics, only in transport.
 //
 // Collectives travel on internal (negative) tags that encode both the
 // collective kind and a per-node sequence number, so concurrent collectives
@@ -46,6 +52,8 @@ class Injector;
 }  // namespace fg::fault
 
 namespace fg::comm {
+
+class Mailbox;
 
 /// Node rank within the cluster, 0-based.
 using NodeId = int;
@@ -91,8 +99,9 @@ struct RecvResult {
 };
 
 /// Per-node traffic counters (bytes at the application payload level).
-/// Backends count only the traffic they can see: SimFabric carries every
-/// node, TcpFabric only its local rank (remote ranks read as zero).
+/// A fabric counts only the traffic it can see: SimFabric carries every
+/// node, TcpFabric and ShmFabric only their local rank (remote ranks read
+/// as zero).
 struct TrafficStats {
   std::uint64_t messages_sent{0};
   std::uint64_t bytes_sent{0};
@@ -105,9 +114,7 @@ struct TrafficStats {
 
 class Fabric {
  public:
-  /// @param nodes  cluster size P
-  explicit Fabric(int nodes);
-  virtual ~Fabric() = default;
+  virtual ~Fabric();
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -134,6 +141,7 @@ class Fabric {
   RecvResult recv(NodeId me, NodeId src, int tag, std::span<std::byte> out);
 
   /// True if a matching message is available for immediate delivery.
+  /// Validates its arguments like recv().
   bool probe(NodeId me, NodeId src, int tag) const;
 
   // -- collectives ----------------------------------------------------------
@@ -163,27 +171,28 @@ class Fabric {
       NodeId me, const std::vector<std::span<const std::byte>>& send,
       std::span<std::byte> recv_all);
 
-  /// Exchange `data` in place with a partner: send to `dst`, receive the
-  /// same number of bytes from `src`.  Mirrors MPI_Sendrecv_replace.
-  void sendrecv_replace(NodeId me, NodeId dst, NodeId src, int tag,
-                        std::span<std::byte> data);
-
   /// Every node contributes one u64; all nodes get the full vector indexed
   /// by rank.  (The sorts use this for partition-size prefix sums.)
   std::vector<std::uint64_t> allgather_u64(NodeId me, std::uint64_t value);
 
-  /// Sum-reduce a vector of u64 across nodes; all nodes get the result.
-  std::vector<std::uint64_t> allreduce_sum_u64(
-      NodeId me, std::span<const std::uint64_t> values);
-
   // -- control --------------------------------------------------------------
 
   /// Wake all blocked calls with FabricAborted; used for error unwinding.
-  /// TcpFabric additionally propagates the abort to every peer process.
-  virtual void abort() = 0;
+  /// TcpFabric and ShmFabric also propagate the abort to every peer
+  /// process.
+  virtual void abort();
   bool aborted() const noexcept {
     return aborted_.load(std::memory_order_relaxed);
   }
+
+  /// Why this process aborted the run, when the cause reached it from
+  /// outside: a peer's abort, a dead peer, or a corrupt stream or segment.
+  /// Empty if no such abort happened; the first cause wins.
+  std::string abort_detail() const;
+
+  /// How many payloads the hosted ranks' mailboxes served from their
+  /// pools instead of a fresh allocation (proves the recycling works).
+  std::uint64_t recv_pool_reuses() const;
 
   // -- fault injection ------------------------------------------------------
 
@@ -227,23 +236,52 @@ class Fabric {
   TrafficStats stats(NodeId node) const;
 
  protected:
-  // -- backend delivery hooks -----------------------------------------------
-  // Arguments arrive pre-validated (ranks in range, sender not crashed,
-  // fabric not aborted); internal collective traffic uses negative tags.
+  /// @param nodes  cluster size P
+  /// @param model  cost of a message between two hosted ranks; delivery
+  ///               time = send time + cost, and a self-send is free
+  explicit Fabric(int nodes,
+                  util::LatencyModel model = util::LatencyModel::free());
 
-  /// Deliver `data` from src to dst; `extra_delay` is injected wire delay
-  /// (zero normally) to be applied before the message becomes deliverable.
+  // -- the wire -------------------------------------------------------------
+
+  /// The one backend hook: put `data` on the wire from hosted rank `src`
+  /// to `dst`, a rank another process hosts.  Arguments arrive validated
+  /// (ranks in range, sender not crashed, fabric not aborted); internal
+  /// collective traffic uses negative tags.  `extra_delay` is injected
+  /// wire delay (zero normally) the receiving side applies before the
+  /// message becomes deliverable.  The default has no wire and throws
+  /// std::logic_error: a fabric that hosts every rank never calls it.
   virtual void send_message(NodeId src, NodeId dst, int tag,
                             std::span<const std::byte> data,
-                            util::Duration extra_delay) = 0;
+                            util::Duration extra_delay);
 
-  /// Blocking matched receive honoring recv_deadline(); throws
-  /// FabricAborted / FabricTimeout / std::length_error like recv().
-  virtual RecvResult recv_message(NodeId me, NodeId src, int tag,
-                                  std::span<std::byte> out) = 0;
+  // -- hosted ranks ---------------------------------------------------------
 
-  /// Non-blocking availability check.
-  virtual bool probe_message(NodeId me, NodeId src, int tag) const = 0;
+  /// Host rank `n` in this process: from now on send(), recv() and
+  /// probe() naming it use its mailbox instead of throwing
+  /// std::logic_error.  Call before any receiver thread delivers to it.
+  void host(NodeId n) {
+    check_node(n, "host");
+    hosted_[static_cast<std::size_t>(n)].store(true, std::memory_order_release);
+  }
+
+  /// The mailbox of rank `n`; throws std::logic_error if this process does
+  /// not host it.  Receiver threads deposit what the wire delivers here.
+  Mailbox& hosted(NodeId n, const char* what) const;
+
+  /// When a message arriving now off the wire, carrying `delay_ns` of
+  /// injected delay, becomes deliverable.  The delay comes from a peer: one
+  /// past the clock's range saturates (the message is never deliverable)
+  /// instead of overflowing the time arithmetic.
+  static util::TimePoint delivery_time(std::uint64_t delay_ns);
+
+  /// Something outside this process ended the run (a peer's abort, a dead
+  /// peer, a corrupt stream or segment): record `detail` as the abort
+  /// cause (the first one wins), log it when `warn` (wire failures warn,
+  /// deliberate aborts do not), and abort locally.  `propagate` also runs
+  /// abort(), which tells the peers — for a failure only this rank can see.
+  void abort_from_peer(NodeId me, std::string detail, bool warn,
+                       bool propagate);
 
   // -- shared plumbing for backends and the collective layer ----------------
 
@@ -251,18 +289,17 @@ class Fabric {
   /// Throws FabricNodeCrashed if `node` is crashed, or if the injector's
   /// fabric.crash site fires for it now (marking it crashed from then on).
   void check_crash(NodeId node);
-  void mark_aborted() noexcept {
-    aborted_.store(true, std::memory_order_relaxed);
-  }
   fault::Injector* injector() const noexcept {
     return injector_.load(std::memory_order_relaxed);
   }
 
-  /// Validation + fault injection + traffic counting around send_message.
-  /// Accepts internal (negative) tags; the public send() rejects them.
+  /// Validation, fault injection, delivery (to a hosted mailbox, or over
+  /// the wire) and traffic counting.  Accepts internal (negative) tags;
+  /// the public send() rejects them.
   void send_payload(NodeId src, NodeId dst, int tag,
                     std::span<const std::byte> data);
-  /// Validation + traffic counting around recv_message.
+  /// Validation, the matched receive from a hosted mailbox, and traffic
+  /// counting.
   RecvResult recv_payload(NodeId me, NodeId src, int tag,
                           std::span<std::byte> out);
 
@@ -273,7 +310,6 @@ class Fabric {
     kAlltoall,
     kAlltoallv,
     kAllgather,
-    kAllreduce,
     kCount  // sentinel
   };
 
@@ -290,6 +326,14 @@ class Fabric {
 
  private:
   int nodes_;
+  util::LatencyModel model_;
+  /// One mailbox per rank, fixed at construction; only a hosted rank's is
+  /// ever used.  abort() wakes all of them, so a rank hosted after an
+  /// abort (a TcpFabric connecting late) starts aborted.
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::vector<std::atomic<bool>> hosted_;
+  mutable std::mutex detail_mutex_;
+  std::string abort_detail_;  // guarded by detail_mutex_
   std::vector<TrafficStats> traffic_;  // guarded by traffic_mutex_
   mutable std::mutex traffic_mutex_;
   std::atomic<bool> aborted_{false};

@@ -1,4 +1,4 @@
-// The matched-message queue both fabric backends deliver into.
+// The matched-message queue every fabric delivers into.
 //
 // A Mailbox holds the messages addressed to one node that have not been
 // received yet.  Matching follows MPI: a receive names (source, tag) —
@@ -11,11 +11,14 @@
 // still draining application messages must not be able to steal another
 // node's barrier token.
 //
-// SimFabric owns one Mailbox per simulated node and deposits directly
-// from send(); TcpFabric owns a single Mailbox for its local rank, fed
-// by the per-peer receiver threads.  Delivery times carry the simulated
-// latency model in the first case and injected delay spikes in the
-// second; a real wire deposits with deliver_at == now.
+// The Fabric base owns one Mailbox per rank and uses those of the ranks
+// its process hosts (every rank of a SimFabric, the one rank of a
+// TcpFabric or ShmFabric).  Sends
+// between hosted ranks deposit directly, stamped with the latency model;
+// tcp and shm receiver threads deposit what arrives off the wire, stamped
+// with any injected delay.  Each Mailbox owns the PayloadPool its
+// messages' payload vectors come from and go back to, so steady-state
+// traffic reuses memory instead of allocating per message.
 #pragma once
 
 #include "comm/fabric.hpp"
@@ -23,12 +26,68 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstring>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <unordered_map>
 
 namespace fg::comm {
+
+/// A freelist of payload vectors.  Allocating a fresh std::vector per
+/// message costs an allocation plus page faults on every message; a
+/// vector from the pool already has faulted capacity.  Thread-safe;
+/// bounded so a burst of giant messages cannot pin memory forever.
+class PayloadPool {
+ public:
+  /// Max vectors kept on the freelist / max capacity worth keeping.
+  static constexpr std::size_t kMaxPooled = 64;
+  static constexpr std::size_t kMaxPooledBytes = std::size_t{1} << 22;
+
+  /// A vector of exactly `n` bytes for a receiver to overwrite (stale or
+  /// zeroed bytes), reusing pooled capacity when there is any.
+  std::vector<std::byte> acquire(std::size_t n) {
+    std::vector<std::byte> v = spare();
+    v.resize(n);
+    return v;
+  }
+
+  /// A pooled copy of `data`.  assign() copies straight into the reused
+  /// capacity; resize() would zero-fill any growth first.
+  std::vector<std::byte> copy(std::span<const std::byte> data) {
+    std::vector<std::byte> v = spare();
+    v.assign(data.begin(), data.end());
+    return v;
+  }
+
+  /// Return a spent payload for reuse; oversized or surplus vectors are
+  /// simply freed.
+  void release(std::vector<std::byte>&& v) {
+    if (v.capacity() == 0 || v.capacity() > kMaxPooledBytes) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (free_.size() >= kMaxPooled) return;
+    free_.push_back(std::move(v));
+  }
+
+  /// How many vectors were served from the freelist (proves the pool is
+  /// actually recycling).
+  std::uint64_t reuses() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return reuses_;
+  }
+
+ private:
+  std::vector<std::byte> spare() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (free_.empty()) return {};
+    std::vector<std::byte> v = std::move(free_.back());
+    free_.pop_back();
+    ++reuses_;
+    return v;
+  }
+
+  mutable std::mutex mutex_;
+  std::vector<std::vector<std::byte>> free_;
+  std::uint64_t reuses_{0};
+};
 
 class Mailbox {
  public:
@@ -37,12 +96,10 @@ class Mailbox {
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  /// Where spent payload vectors go after take() copies them out — the
-  /// fabric's receive pool, so frame buffers are recycled instead of
-  /// freed and reallocated per message.  Install once, before any
-  /// receiver thread runs (read without the lock afterwards).
-  using Recycler = std::function<void(std::vector<std::byte>&&)>;
-  void set_recycler(Recycler r) { recycler_ = std::move(r); }
+  /// Where deposited payloads come from; take() releases each spent one
+  /// back here.
+  PayloadPool& pool() noexcept { return pool_; }
+  const PayloadPool& pool() const noexcept { return pool_; }
 
   /// Enqueue a message and wake matching receivers.  Delivery is clamped
   /// to be non-overtaking per source channel, like MPI: a message may not
@@ -108,10 +165,8 @@ class Mailbox {
           }
           std::vector<std::byte> spent = std::move(best->payload);
           messages_.erase(best);
-          if (recycler_) {
-            lock.unlock();  // the pool has its own (leaf) lock
-            recycler_(std::move(spent));
-          }
+          lock.unlock();  // the pool has its own (leaf) lock
+          pool_.release(std::move(spent));
           return r;
         }
         if (bounded && now >= expiry) throw timed_out();
@@ -146,11 +201,6 @@ class Mailbox {
     cv_.notify_all();
   }
 
-  bool aborted() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return aborted_;
-  }
-
  private:
   struct Message {
     NodeId src;
@@ -175,7 +225,7 @@ class Mailbox {
   /// floor for that channel.  Guarded by mutex_.
   std::unordered_map<NodeId, util::TimePoint> floors_;
   bool aborted_{false};
-  Recycler recycler_;  ///< set before threads, immutable afterwards
+  PayloadPool pool_;
 };
 
 }  // namespace fg::comm

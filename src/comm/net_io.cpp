@@ -105,30 +105,4 @@ std::string describe(const ReadOutcome& o) {
   return "?";
 }
 
-std::vector<std::byte> PayloadPool::acquire(std::size_t n) {
-  std::vector<std::byte> v;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!free_.empty()) {
-      v = std::move(free_.back());
-      free_.pop_back();
-      ++reuses_;
-    }
-  }
-  v.resize(n);
-  return v;
-}
-
-void PayloadPool::release(std::vector<std::byte>&& v) {
-  if (v.capacity() == 0 || v.capacity() > kMaxPooledBytes) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (free_.size() >= kMaxPooled) return;
-  free_.push_back(std::move(v));
-}
-
-std::uint64_t PayloadPool::reuses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return reuses_;
-}
-
 }  // namespace fg::comm::net

@@ -12,15 +12,16 @@
 // socket error.  Callers used to see -1 for the last two and guessed;
 // ReadStatus names all three so abort diagnostics can say what actually
 // happened on the wire.
+//
+// Only byte moving lives here.  Where a received frame's payload goes is
+// the reader's business: TcpFabric reads into its mailbox's PayloadPool
+// (comm/mailbox.hpp), fgserve into its own buffers.
 #pragma once
 
 #include <sys/uio.h>
 
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace fg::comm::net {
 
@@ -62,35 +63,5 @@ int setsockopt_warn(int fd, int level, int optname, const void* val,
 /// Human-readable rendering of a failed ReadOutcome for diagnostics:
 /// "peer closed the connection mid-frame" or "recv failed: <errno text>".
 std::string describe(const ReadOutcome& o);
-
-/// A freelist of payload vectors for the receive path.  A receiver that
-/// allocates a fresh std::vector per frame pays an allocation plus page
-/// faults on every message; acquire() hands back a previously-released
-/// vector resized (size-hinted) to the frame length, so steady-state
-/// receive traffic lands in already-faulted memory.  Thread-safe; bounded
-/// so a burst of giant frames cannot pin memory forever.
-class PayloadPool {
- public:
-  /// Max vectors kept on the freelist / max capacity worth keeping.
-  static constexpr std::size_t kMaxPooled = 64;
-  static constexpr std::size_t kMaxPooledBytes = std::size_t{1} << 22;
-
-  /// A vector of exactly `n` bytes, reusing pooled capacity when there is
-  /// any (the bytes are uninitialized garbage — callers overwrite them).
-  std::vector<std::byte> acquire(std::size_t n);
-
-  /// Return a spent payload for reuse; oversized or surplus vectors are
-  /// simply freed.
-  void release(std::vector<std::byte>&& v);
-
-  /// How many acquire() calls were served from the freelist (tests /
-  /// stats; proves the receive path is actually recycling).
-  std::uint64_t reuses() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::vector<std::byte>> free_;
-  std::uint64_t reuses_{0};
-};
 
 }  // namespace fg::comm::net

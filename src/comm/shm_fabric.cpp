@@ -1,6 +1,6 @@
 #include "comm/shm_fabric.hpp"
 
-#include "util/log.hpp"
+#include "comm/mailbox.hpp"
 
 #include <fcntl.h>
 #include <linux/futex.h>
@@ -81,6 +81,23 @@ std::size_t rings_off(int nodes) { return abort_off(nodes) + kCacheLine; }
 
 std::size_t slot_stride(std::size_t slot_bytes) {
   return kCacheLine + slot_bytes;  // slot_bytes is a multiple of 64
+}
+
+/// The ring stride and total segment size for a geometry, computed with
+/// overflow checks (attach() reads the geometry from a header anyone could
+/// have written).  False when the arithmetic overflows.
+bool layout(std::uint64_t nodes, std::uint64_t ring_slots,
+            std::uint64_t slot_bytes, std::uint64_t& stride,
+            std::uint64_t& total) {
+  std::uint64_t rings = 0;
+  return !__builtin_add_overflow(kCacheLine, slot_bytes, &stride) &&
+         !__builtin_mul_overflow(stride, ring_slots, &stride) &&
+         !__builtin_add_overflow(stride, kRingHeaderBytes, &stride) &&
+         !__builtin_mul_overflow(nodes, nodes - 1, &rings) &&
+         !__builtin_mul_overflow(rings, stride, &total) &&
+         !__builtin_add_overflow(
+             total, kCacheLine * (nodes + 2),  // header, statuses, abort
+             &total);
 }
 
 /// Rings are stored for ordered pairs only; a rank never talks to itself
@@ -172,11 +189,13 @@ std::shared_ptr<ShmSegment> ShmSegment::create(int nodes,
         "fg::comm::ShmSegment::create: slot_bytes must be a positive "
         "multiple of 64");
   }
-  const std::size_t stride =
-      kRingHeaderBytes + options.ring_slots * slot_stride(options.slot_bytes);
-  const std::size_t rings =
-      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(nodes - 1);
-  const std::size_t total = rings_off(nodes) + rings * stride;
+  std::uint64_t stride = 0;
+  std::uint64_t total = 0;
+  if (!layout(static_cast<std::uint64_t>(nodes), options.ring_slots,
+              options.slot_bytes, stride, total)) {
+    throw std::invalid_argument(
+        "fg::comm::ShmSegment::create: segment size overflows");
+  }
 
   const int fd = static_cast<int>(
       ::syscall(SYS_memfd_create, "fg-shm-fabric", MFD_CLOEXEC));
@@ -237,10 +256,17 @@ std::shared_ptr<ShmSegment> ShmSegment::attach(int fd) {
     errno = e;
     throw_errno("mmap");
   }
+  // Every offset the fabric computes comes from this header, so its
+  // geometry must describe exactly the mapping: a forged stride or node
+  // count would otherwise send ring accesses past the end of it.
   const SegHeader h = read_header(static_cast<const std::byte*>(base));
+  std::uint64_t stride = 0;
+  std::uint64_t layout_total = 0;
   if (h.magic != kSegMagic || h.version != kSegVersion ||
       h.total_bytes != total || h.nodes == 0 || h.ring_slots < 2 ||
-      h.slot_bytes == 0) {
+      h.slot_bytes == 0 || h.slot_bytes % kCacheLine != 0 ||
+      !layout(h.nodes, h.ring_slots, h.slot_bytes, stride, layout_total) ||
+      h.ring_stride != stride || h.total_bytes != layout_total) {
     ::munmap(base, total);
     ::close(own);
     throw std::invalid_argument(
@@ -334,18 +360,14 @@ ShmFabric::ShmFabric(std::shared_ptr<ShmSegment> segment, NodeId rank,
     : Fabric(segment ? segment->nodes() : 0),
       seg_(std::move(segment)),
       rank_(rank),
-      options_(options),
-      mailbox_(rank) {
+      options_(options) {
   check_node(rank, "ShmFabric");
   if (!seg_->claim_rank(rank)) {
     throw std::invalid_argument(
         "fg::comm::ShmFabric: rank " + std::to_string(rank) +
         " is already attached to this segment");
   }
-  // Spent receive payloads flow back into the frame pool; installed
-  // before any receiver thread runs.
-  mailbox_.set_recycler(
-      [this](std::vector<std::byte>&& v) { pool_.release(std::move(v)); });
+  host(rank_);  // before the receivers that deliver to it
 
   peers_.reserve(static_cast<std::size_t>(size()));
   for (NodeId n = 0; n < size(); ++n) {
@@ -363,15 +385,6 @@ ShmFabric::ShmFabric(std::shared_ptr<ShmSegment> segment, NodeId rank,
 }
 
 ShmFabric::~ShmFabric() { shutdown(); }
-
-void ShmFabric::require_local(NodeId n, const char* what) const {
-  if (n != rank_) {
-    throw std::logic_error(std::string("fg::comm::ShmFabric::") + what +
-                           ": this process hosts rank " +
-                           std::to_string(rank_) + ", not rank " +
-                           std::to_string(n));
-  }
-}
 
 std::uint32_t ShmFabric::claim_slot(NodeId dst, std::byte* ring) {
   // Only this rank writes head (serialized by the peer's send_mutex), so
@@ -393,20 +406,9 @@ std::uint32_t ShmFabric::claim_slot(NodeId dst, std::byte* ring) {
   }
 }
 
-void ShmFabric::send_message(NodeId src, NodeId dst, int tag,
+void ShmFabric::send_message(NodeId, NodeId dst, int tag,
                              std::span<const std::byte> data,
                              util::Duration extra_delay) {
-  require_local(src, "send");
-  if (dst == rank_) {
-    // Same-process delivery never touches the segment: the payload moves
-    // into the mailbox as an owned vector and back out through the pool
-    // recycler — one copy in, pointer swaps from there on.
-    std::vector<std::byte> payload = pool_.acquire(data.size());
-    if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
-    mailbox_.deposit(src, tag, std::move(payload),
-                     util::Clock::now() + extra_delay);
-    return;
-  }
   const auto delay_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(extra_delay)
           .count());
@@ -439,9 +441,18 @@ void ShmFabric::send_message(NodeId src, NodeId dst, int tag,
 
 void ShmFabric::receiver_loop(NodeId peer) {
   PeerState& p = *peers_[static_cast<std::size_t>(peer)];
+  Mailbox& inbox = hosted(rank_, "receive");
   std::byte* ring = p.in_ring;
   const std::size_t cap = seg_->slot_bytes();
   const std::uint32_t slots = seg_->ring_slots();
+  // Only this rank reads its inbound rings, so it raises the segment word
+  // for everyone.
+  const auto corrupt = [&](const std::string& what) {
+    abort_from_peer(rank_,
+                    "rank " + std::to_string(peer) +
+                        ": shared segment ring corrupt" + what,
+                    /*warn=*/true, /*propagate=*/true);
+  };
 
   std::vector<std::byte> pending;  // message being reassembled
   std::size_t pending_off = 0;
@@ -470,21 +481,17 @@ void ShmFabric::receiver_loop(NodeId peer) {
     // is broken — a stomped segment has no resync point, like a corrupt
     // TCP stream.
     if (sh.chunk_bytes > cap || (sh.first != 0) == assembling) {
-      abort_from_peer("rank " + std::to_string(peer) +
-                          ": shared segment ring corrupt",
-                      /*warn=*/true, /*raise=*/true);
+      corrupt("");
       return;
     }
     if (sh.first != 0) {
       if (sh.msg_bytes > kMaxMessageBytes) {
-        abort_from_peer("rank " + std::to_string(peer) +
-                            ": shared segment ring corrupt: message declares " +
-                            std::to_string(sh.msg_bytes) + " bytes, over the " +
-                            std::to_string(kMaxMessageBytes) + "-byte limit",
-                        /*warn=*/true, /*raise=*/true);
+        corrupt(": message declares " + std::to_string(sh.msg_bytes) +
+                " bytes, over the " + std::to_string(kMaxMessageBytes) +
+                "-byte limit");
         return;
       }
-      pending = pool_.acquire(sh.msg_bytes);
+      pending = inbox.pool().acquire(sh.msg_bytes);
       pending_off = 0;
       pending_len = static_cast<std::size_t>(sh.msg_bytes);
       pending_tag = sh.tag;
@@ -492,9 +499,7 @@ void ShmFabric::receiver_loop(NodeId peer) {
       assembling = true;
     }
     if (pending_off + sh.chunk_bytes > pending_len) {
-      abort_from_peer("rank " + std::to_string(peer) +
-                          ": shared segment ring corrupt",
-                      /*warn=*/true, /*raise=*/true);
+      corrupt("");
       return;
     }
     if (sh.chunk_bytes != 0) {
@@ -508,11 +513,8 @@ void ShmFabric::receiver_loop(NodeId peer) {
     futex_wake_all(tail_word(ring));
     if (pending_off == pending_len) {
       assembling = false;
-      const util::TimePoint deliver_at =
-          util::Clock::now() +
-          std::chrono::duration_cast<util::Duration>(
-              std::chrono::nanoseconds(pending_delay));
-      mailbox_.deposit(peer, pending_tag, std::move(pending), deliver_at);
+      inbox.deposit(peer, pending_tag, std::move(pending),
+                    delivery_time(pending_delay));
       pending = std::vector<std::byte>{};
     }
   }
@@ -527,9 +529,10 @@ void ShmFabric::monitor_loop() {
     seg_->bump_heartbeat(rank_);
     if (seg_->abort_raised()) {
       // A deliberate abort word is orderly teardown, not a failure here.
-      abort_from_peer("rank " + std::to_string(seg_->abort_rank()) +
+      abort_from_peer(rank_,
+                      "rank " + std::to_string(seg_->abort_rank()) +
                           " raised the segment abort word",
-                      /*warn=*/false, /*raise=*/false);
+                      /*warn=*/false, /*propagate=*/false);
       return;
     }
     const util::TimePoint now = util::Clock::now();
@@ -544,9 +547,10 @@ void ShmFabric::monitor_loop() {
         // Frozen heartbeat without bye: the process died without a trace
         // (there is no EOF in shared memory).  We detected it, so we
         // raise the word for the other survivors.
-        abort_from_peer("rank " + std::to_string(n) +
+        abort_from_peer(rank_,
+                        "rank " + std::to_string(n) +
                             " heartbeat frozen — process presumed dead",
-                        /*warn=*/true, /*raise=*/true);
+                        /*warn=*/true, /*propagate=*/true);
         return;
       }
     }
@@ -554,28 +558,8 @@ void ShmFabric::monitor_loop() {
   }
 }
 
-void ShmFabric::abort_from_peer(std::string detail, bool warn, bool raise) {
-  {
-    std::lock_guard<std::mutex> lock(detail_mutex_);
-    if (abort_detail_.empty()) abort_detail_ = detail;
-  }
-  if (warn) {
-    FG_LOG(kWarn) << "fg::comm::ShmFabric[rank " << rank_
-                  << "]: aborting run: " << detail;
-  }
-  mark_aborted();
-  mailbox_.abort();
-  if (raise && seg_->raise_abort(rank_)) wake_all_rings();
-}
-
-std::string ShmFabric::abort_detail() const {
-  std::lock_guard<std::mutex> lock(detail_mutex_);
-  return abort_detail_;
-}
-
 void ShmFabric::abort() {
-  mark_aborted();
-  mailbox_.abort();
+  Fabric::abort();
   // First abort in the cluster raises the segment word; every monitor
   // polls it each heartbeat period, and the ring wakes cut the latency
   // for anyone parked in a futex wait.
@@ -609,17 +593,6 @@ void ShmFabric::shutdown() {
   for (auto& p : peers_) {
     if (p && p->receiver.joinable()) p->receiver.join();
   }
-}
-
-RecvResult ShmFabric::recv_message(NodeId me, NodeId src, int tag,
-                                   std::span<std::byte> out) {
-  require_local(me, "recv");
-  return mailbox_.take(src, tag, out, recv_deadline());
-}
-
-bool ShmFabric::probe_message(NodeId me, NodeId src, int tag) const {
-  require_local(me, "probe");
-  return mailbox_.probe(src, tag);
 }
 
 }  // namespace fg::comm

@@ -1,8 +1,8 @@
 // The same-host fabric backend: every rank maps one shared-memory segment
 // (a memfd) and messages cross rank boundaries by a slot claim plus a
-// memcpy into shared pages — no socket, no kernel copy on the receive
-// side, and a same-process send is a pointer swap through the Mailbox /
-// PayloadPool recycler exactly like TcpFabric's self-send.
+// memcpy into shared pages — no socket and no kernel copy on the receive
+// side.  A send to the rank itself never touches the segment: the Fabric
+// base delivers it, as it does for every fabric.
 //
 // Segment layout (all regions cacheline-aligned):
 //
@@ -22,8 +22,9 @@
 // head plus a futex wake.  Messages larger than one slot's payload are
 // chunked across consecutive slots; per-channel FIFO makes reassembly
 // trivial.  A per-peer receiver thread drains each inbound ring into the
-// local Mailbox, so matching, deadlines, wildcard rules, and length
-// checking are byte-for-byte the Sim/Tcp semantics.
+// hosted rank's Mailbox in the Fabric base, so matching, deadlines,
+// wildcard rules, and length checking are byte-for-byte the Sim/Tcp
+// semantics.
 //
 // Failure detection has no EOF to lean on, so the segment carries it:
 // each rank's monitor thread bumps its heartbeat word and watches the
@@ -35,13 +36,12 @@
 #pragma once
 
 #include "comm/fabric.hpp"
-#include "comm/mailbox.hpp"
-#include "comm/net_io.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,8 +72,9 @@ class ShmSegment {
                                             ShmSegmentOptions options = {});
 
   /// Map an existing segment by fd (typically inherited from the fgnode
-  /// parent).  The fd is dup()ed; the caller keeps its copy.  Throws if
-  /// the fd does not hold a valid FG segment.
+  /// parent).  The fd is dup()ed; the caller keeps its copy.  Throws
+  /// std::invalid_argument unless the fd holds an FG segment whose header
+  /// geometry describes exactly the mapping's size.
   static std::shared_ptr<ShmSegment> attach(int fd);
 
   ~ShmSegment();
@@ -137,25 +138,14 @@ class ShmFabric final : public Fabric {
 
   /// Abort locally and raise the segment abort word so every other rank's
   /// monitor aborts its process within a heartbeat period.
+  /// abort_detail() says why this rank aborted, when the cause was remote
+  /// or a corrupt segment: a peer's deliberate abort or a frozen heartbeat.
   void abort() override;
-
-  /// Why this rank aborted the run, when the cause was remote or a
-  /// corrupt segment: distinguishes a peer's deliberate abort from a
-  /// frozen heartbeat.  Empty if no such abort happened; first cause
-  /// wins (mirrors TcpFabric::abort_detail).
-  std::string abort_detail() const;
-
-  /// How many receive payloads were served from the recycled frame pool
-  /// instead of a fresh allocation.
-  std::uint64_t recv_pool_reuses() const { return pool_.reuses(); }
 
  protected:
   void send_message(NodeId src, NodeId dst, int tag,
                     std::span<const std::byte> data,
                     util::Duration extra_delay) override;
-  RecvResult recv_message(NodeId me, NodeId src, int tag,
-                          std::span<std::byte> out) override;
-  bool probe_message(NodeId me, NodeId src, int tag) const override;
 
  private:
   struct PeerState {
@@ -165,27 +155,16 @@ class ShmFabric final : public Fabric {
     std::byte* in_ring{nullptr};   ///< ring the peer writes to this rank
   };
 
-  void require_local(NodeId n, const char* what) const;
   /// Wait for a free slot in the ring to `dst`; returns the head counter
   /// to write at.  Throws FabricAborted on abort or if the peer left.
   std::uint32_t claim_slot(NodeId dst, std::byte* ring);
   void receiver_loop(NodeId peer);
   void monitor_loop();
-  /// A remote abort (segment word, frozen heartbeat) or corrupt ring:
-  /// record the cause, abort locally.  `raise` additionally raises the
-  /// segment word (set when this rank is the one *detecting* a death,
-  /// clear when relaying a word some other rank already raised).
-  void abort_from_peer(std::string detail, bool warn, bool raise);
   void wake_all_rings();
 
   std::shared_ptr<ShmSegment> seg_;
   NodeId rank_;
   ShmFabricOptions options_;
-  Mailbox mailbox_;
-  net::PayloadPool pool_;  ///< recycled receive-frame payloads
-
-  mutable std::mutex detail_mutex_;
-  std::string abort_detail_;  ///< first abort cause
 
   std::vector<std::unique_ptr<PeerState>> peers_;  // by rank; self unused
   std::thread monitor_;

@@ -2,16 +2,16 @@
 // process, each "node" a set of threads, with an affine latency/bandwidth
 // cost model.
 //
-// Latency is charged as *delivery time*: send() computes the modeled cost
-// and stamps the message with the time at which it becomes visible; the
-// sender proceeds immediately (buffered send), and recv() blocks until a
-// matching message's delivery time has passed.  This keeps the wire "busy"
-// without blocking the sender, which is the regime in which overlapping
-// communication with computation pays off.
+// SimFabric hosts every rank, so the Fabric base delivers every message
+// itself and no wire exists.  Latency is charged as *delivery time*: send()
+// computes the modeled cost and stamps the message with the time at which
+// it becomes visible; the sender proceeds immediately (buffered send), and
+// recv() blocks until a matching message's delivery time has passed.  This
+// keeps the wire "busy" without blocking the sender, which is the regime in
+// which overlapping communication with computation pays off.
 #pragma once
 
 #include "comm/fabric.hpp"
-#include "comm/mailbox.hpp"
 
 namespace fg::comm {
 
@@ -21,48 +21,9 @@ class SimFabric final : public Fabric {
   /// @param model  per-message cost; delivery time = send time + cost
   explicit SimFabric(int nodes,
                      util::LatencyModel model = util::LatencyModel::free())
-      : Fabric(nodes), model_(model) {
-    mailboxes_.reserve(static_cast<std::size_t>(nodes));
-    for (int i = 0; i < nodes; ++i) {
-      mailboxes_.push_back(std::make_unique<Mailbox>(i));
-    }
+      : Fabric(nodes, model) {
+    for (NodeId n = 0; n < nodes; ++n) host(n);
   }
-
-  const util::LatencyModel& model() const noexcept { return model_; }
-
-  void abort() override {
-    mark_aborted();
-    for (auto& mb : mailboxes_) mb->abort();
-  }
-
- protected:
-  void send_message(NodeId src, NodeId dst, int tag,
-                    std::span<const std::byte> data,
-                    util::Duration extra_delay) override {
-    // A node sending to itself never touches the wire, so it pays no
-    // latency; cross-node messages pay the modeled cost plus any
-    // injected delay spike.
-    const util::TimePoint deliver_at =
-        util::Clock::now() + extra_delay +
-        (src == dst ? util::Duration::zero() : model_.cost(data.size()));
-    mailboxes_[static_cast<std::size_t>(dst)]->deposit(
-        src, tag, std::vector<std::byte>(data.begin(), data.end()),
-        deliver_at);
-  }
-
-  RecvResult recv_message(NodeId me, NodeId src, int tag,
-                          std::span<std::byte> out) override {
-    return mailboxes_[static_cast<std::size_t>(me)]->take(src, tag, out,
-                                                          recv_deadline());
-  }
-
-  bool probe_message(NodeId me, NodeId src, int tag) const override {
-    return mailboxes_[static_cast<std::size_t>(me)]->probe(src, tag);
-  }
-
- private:
-  util::LatencyModel model_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 };
 
 }  // namespace fg::comm

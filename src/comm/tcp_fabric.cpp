@@ -1,6 +1,7 @@
 #include "comm/tcp_fabric.hpp"
 
-#include "util/log.hpp"
+#include "comm/mailbox.hpp"
+#include "comm/net_io.hpp"
 #include "util/parse.hpp"
 
 #include <arpa/inet.h>
@@ -87,15 +88,10 @@ TcpEndpoint parse_endpoint(const std::string& spec) {
 
 TcpFabric::TcpFabric(int nodes, NodeId rank, std::uint16_t listen_port,
                      TcpFabricOptions options)
-    : Fabric(nodes), rank_(rank), options_(options), mailbox_(rank) {
+    : Fabric(nodes), rank_(rank), options_(options) {
   check_node(rank, "TcpFabric");
   peers_.reserve(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) peers_.push_back(std::make_unique<Peer>());
-
-  // Spent receive payloads flow back into the frame pool instead of the
-  // allocator; installed before connect() so no receiver thread races it.
-  mailbox_.set_recycler(
-      [this](std::vector<std::byte>&& v) { pool_.release(std::move(v)); });
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw_errno("socket");
@@ -129,22 +125,6 @@ TcpFabric::TcpFabric(int nodes, NodeId rank, std::uint16_t listen_port,
 }
 
 TcpFabric::~TcpFabric() { shutdown(); }
-
-void TcpFabric::require_local(NodeId n, const char* what) const {
-  if (n != rank_) {
-    throw std::logic_error(std::string("fg::comm::TcpFabric::") + what +
-                           ": this process hosts rank " +
-                           std::to_string(rank_) + ", not rank " +
-                           std::to_string(n));
-  }
-}
-
-void TcpFabric::require_connected(const char* what) const {
-  if (!connected_.load(std::memory_order_acquire)) {
-    throw std::logic_error(std::string("fg::comm::TcpFabric::") + what +
-                           ": connect() has not completed");
-  }
-}
 
 void TcpFabric::connect(const std::vector<TcpEndpoint>& peers) {
   if (connected_.load(std::memory_order_acquire)) {
@@ -303,6 +283,9 @@ void TcpFabric::connect(const std::vector<TcpEndpoint>& peers) {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
 
+  // The mesh is up: host the rank, so calls naming it stop throwing, and
+  // start the receivers that deliver to it.
+  host(rank_);
   connected_.store(true, std::memory_order_release);
   for (NodeId n = 0; n < size(); ++n) {
     if (n == rank_) continue;
@@ -352,6 +335,14 @@ void TcpFabric::write_frame(NodeId dst, std::uint8_t type, int tag,
 
 void TcpFabric::receiver_loop(NodeId peer) {
   Peer& p = *peers_[static_cast<std::size_t>(peer)];
+  Mailbox& inbox = hosted(rank_, "receive");
+  // The peer ended the run: its own ABORT frame, or its death, reaches
+  // every rank, so this rank never relays it.  A relay could overtake the
+  // origin's frame at a third rank and blame the wrong rank there.
+  const auto peer_ended = [&](std::string detail, bool warn) {
+    peers_told_.store(true);
+    abort_from_peer(rank_, std::move(detail), warn, /*propagate=*/false);
+  };
   std::uint32_t expect_seq = 0;
   bool bye = false;
   for (;;) {
@@ -368,19 +359,20 @@ void TcpFabric::receiver_loop(NodeId peer) {
         return;
       }
       if (shutting_down_.load(std::memory_order_relaxed) || aborted()) return;
-      abort_from_peer("rank " + std::to_string(peer) + ": " +
-                      net::describe(hr) +
-                      (hr.status == net::ReadStatus::kClosedMidRead
-                           ? " (died inside a frame header)"
-                           : ""));
+      peer_ended("rank " + std::to_string(peer) + ": " + net::describe(hr) +
+                     (hr.status == net::ReadStatus::kClosedMidRead
+                          ? " (died inside a frame header)"
+                          : ""),
+                 /*warn=*/true);
       return;
     }
     // A corrupt stream has no resynchronization point: record why and
     // abort the whole run.
     const auto corrupt = [&](const std::string& what) {
-      abort_from_peer("rank " + std::to_string(peer) + ": corrupt stream: " +
+      abort_from_peer(rank_,
+                      "rank " + std::to_string(peer) + ": corrupt stream: " +
                           what,
-                      /*warn=*/true, /*broadcast=*/true);
+                      /*warn=*/true, /*propagate=*/true);
     };
     if (get_u32(hdr) != kFrameMagic) {
       corrupt("bad frame magic");
@@ -399,17 +391,17 @@ void TcpFabric::receiver_loop(NodeId peer) {
     }
     // The header's length is the size hint: the payload lands directly in
     // a recycled pool buffer, not a fresh allocation per frame.
-    std::vector<std::byte> payload = pool_.acquire(len);
+    std::vector<std::byte> payload = inbox.pool().acquire(len);
     if (len > 0) {
       const net::ReadOutcome pr = net::read_full(p.fd, payload.data(), len);
       if (!pr.ok()) {
         if (!shutting_down_.load(std::memory_order_relaxed)) {
-          abort_from_peer(
-              "rank " + std::to_string(peer) + ": " + net::describe(pr) +
-              (pr.status == net::ReadStatus::kError
-                   ? ""
-                   : " (died mid-payload, " + std::to_string(len) +
-                         "-byte frame truncated)"));
+          peer_ended("rank " + std::to_string(peer) + ": " + net::describe(pr) +
+                         (pr.status == net::ReadStatus::kError
+                              ? ""
+                              : " (died mid-payload, " + std::to_string(len) +
+                                    "-byte frame truncated)"),
+                     /*warn=*/true);
         }
         return;
       }
@@ -426,25 +418,19 @@ void TcpFabric::receiver_loop(NodeId peer) {
     }
     ++expect_seq;
     switch (type) {
-      case kFrameData: {
-        const util::TimePoint deliver_at =
-            util::Clock::now() +
-            std::chrono::duration_cast<util::Duration>(
-                std::chrono::nanoseconds(delay_ns));
-        mailbox_.deposit(peer, tag, std::move(payload), deliver_at);
+      case kFrameData:
+        inbox.deposit(peer, tag, std::move(payload), delivery_time(delay_ns));
         break;
-      }
       case kFrameAbort:
         // A deliberate ABORT frame is orderly teardown, not a wire
         // failure — record it, but don't warn.
-        abort_from_peer("rank " + std::to_string(peer) +
-                            " broadcast an abort",
-                        /*warn=*/false);
-        pool_.release(std::move(payload));
+        peer_ended("rank " + std::to_string(peer) + " broadcast an abort",
+                   /*warn=*/false);
+        inbox.pool().release(std::move(payload));
         break;  // keep draining until the peer closes
       case kFrameBye:
         bye = true;
-        pool_.release(std::move(payload));
+        inbox.pool().release(std::move(payload));
         break;
       default:
         corrupt("unknown frame type " + std::to_string(type));
@@ -453,35 +439,9 @@ void TcpFabric::receiver_loop(NodeId peer) {
   }
 }
 
-void TcpFabric::abort_from_peer(std::string detail, bool warn,
-                                bool broadcast) {
-  {
-    std::lock_guard<std::mutex> lock(detail_mutex_);
-    if (abort_detail_.empty()) abort_detail_ = detail;
-  }
-  if (warn) {
-    FG_LOG(kWarn) << "fg::comm::TcpFabric[rank " << rank_
-                  << "]: aborting run: " << detail;
-  }
-  if (broadcast) {
-    abort();
-    return;
-  }
-  // The peer that originated the abort already told everyone else (or, if
-  // it died, everyone sees the EOF themselves) — no re-broadcast.
-  mark_aborted();
-  mailbox_.abort();
-}
-
-std::string TcpFabric::abort_detail() const {
-  std::lock_guard<std::mutex> lock(detail_mutex_);
-  return abort_detail_;
-}
-
 void TcpFabric::abort() {
-  const bool first = !abort_broadcast_.exchange(true);
-  mark_aborted();
-  mailbox_.abort();
+  const bool first = !peers_told_.exchange(true);
+  Fabric::abort();
   if (first && connected_.load(std::memory_order_acquire)) {
     for (NodeId n = 0; n < size(); ++n) {
       if (n == rank_) continue;
@@ -522,34 +482,13 @@ void TcpFabric::shutdown() {
   }
 }
 
-void TcpFabric::send_message(NodeId src, NodeId dst, int tag,
+void TcpFabric::send_message(NodeId, NodeId dst, int tag,
                              std::span<const std::byte> data,
                              util::Duration extra_delay) {
-  require_local(src, "send");
-  require_connected("send");
   const auto delay_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(extra_delay)
           .count());
-  if (dst == rank_) {
-    std::vector<std::byte> payload = pool_.acquire(data.size());
-    if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
-    mailbox_.deposit(src, tag, std::move(payload),
-                     util::Clock::now() + extra_delay);
-    return;
-  }
   write_frame(dst, kFrameData, tag, data, delay_ns, /*best_effort=*/false);
-}
-
-RecvResult TcpFabric::recv_message(NodeId me, NodeId src, int tag,
-                                   std::span<std::byte> out) {
-  require_local(me, "recv");
-  require_connected("recv");
-  return mailbox_.take(src, tag, out, recv_deadline());
-}
-
-bool TcpFabric::probe_message(NodeId me, NodeId src, int tag) const {
-  require_local(me, "probe");
-  return mailbox_.probe(src, tag);
 }
 
 }  // namespace fg::comm

@@ -16,27 +16,30 @@
 //   len     u64   payload bytes following the header
 //   delay   u64   injected delay (ns) the receiver applies before delivery
 //
-// all little-endian.  DATA frames land in the local Mailbox — the same
-// matched-message queue SimFabric uses — so matching, deadlines, and
-// length checking behave identically.  ABORT propagates a cluster abort;
+// all little-endian.  DATA frames go to the Fabric base, into the hosted
+// rank's Mailbox — the same matched-message queue SimFabric uses — so
+// matching, deadlines, and length checking behave identically.  The rank
+// is hosted once connect() completes; before that, every call naming it
+// throws std::logic_error.  ABORT propagates a cluster abort;
 // BYE announces an orderly close, so an EOF *without* BYE means the peer
 // process died and the survivor aborts the run (the moral equivalent of
 // mpirun tearing down the job).
 //
 // A per-peer receiver thread owns the read side of each connection and
-// reads every frame completely into an owned payload before matching, so
-// an oversized message surfaces as std::length_error at recv() without
-// desynchronizing the byte stream.  Sends serialize per peer under a
-// mutex; injected drops simply never write the frame.
+// reads every frame completely into a payload from the mailbox's pool
+// before matching, so an oversized message surfaces as std::length_error
+// at recv() without desynchronizing the byte stream.  Sends serialize per
+// peer under a mutex; injected drops simply never write the frame.
 #pragma once
 
 #include "comm/fabric.hpp"
-#include "comm/mailbox.hpp"
-#include "comm/net_io.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,27 +86,16 @@ class TcpFabric final : public Fabric {
   void shutdown();
 
   /// Abort locally and best-effort propagate an ABORT frame to every peer
-  /// so their blocked calls unwind too.
+  /// so their blocked calls unwind too — unless the abort came from a
+  /// peer, which every rank hears of directly.  abort_detail() says why the
+  /// receive side aborted, when it did: a peer that died mid-frame (EOF
+  /// inside a frame), a socket error (errno text), or a corrupt stream.
   void abort() override;
-
-  /// Why the receive side aborted the run, when it did: distinguishes a
-  /// peer that died mid-frame (EOF inside a frame) from a socket error
-  /// (errno text) from a corrupt stream.  Empty if no receive-side abort
-  /// happened.  First cause wins.
-  std::string abort_detail() const;
-
-  /// How many receive payloads were served from the recycled frame pool
-  /// instead of a fresh allocation (observability for the zero-copy-ish
-  /// receive path).
-  std::uint64_t recv_pool_reuses() const { return pool_.reuses(); }
 
  protected:
   void send_message(NodeId src, NodeId dst, int tag,
                     std::span<const std::byte> data,
                     util::Duration extra_delay) override;
-  RecvResult recv_message(NodeId me, NodeId src, int tag,
-                          std::span<std::byte> out) override;
-  bool probe_message(NodeId me, NodeId src, int tag) const override;
 
  private:
   struct Peer {
@@ -113,29 +105,14 @@ class TcpFabric final : public Fabric {
     std::thread receiver;
   };
 
-  void require_local(NodeId n, const char* what) const;
-  void require_connected(const char* what) const;
   /// Write one frame (header + payload) to peer `dst` under its send lock.
   void write_frame(NodeId dst, std::uint8_t type, int tag,
                    std::span<const std::byte> payload,
                    std::uint64_t delay_ns, bool best_effort);
   void receiver_loop(NodeId peer);
-  /// An abort arrived from (or was detected about) a peer.  `detail`
-  /// records what the wire actually showed (peer death mid-frame, a
-  /// socket error, a corrupt stream) for diagnostics; `warn` logs it
-  /// (wire failures warn, deliberate ABORT frames don't).  `broadcast`
-  /// also tells every peer, for a failure only this rank can see — a
-  /// corrupt stream; otherwise the abort stays local.
-  void abort_from_peer(std::string detail, bool warn = true,
-                       bool broadcast = false);
 
   NodeId rank_;
   TcpFabricOptions options_;
-  Mailbox mailbox_;
-  net::PayloadPool pool_;  ///< recycled receive-frame payloads
-
-  mutable std::mutex detail_mutex_;
-  std::string abort_detail_;  ///< first receive-side abort cause
 
   int listen_fd_{-1};
   std::uint16_t listen_port_{0};
@@ -147,7 +124,9 @@ class TcpFabric final : public Fabric {
   int connected_count_{0};  // guarded by connect_mutex_
   std::atomic<bool> connected_{false};
   std::atomic<bool> shutting_down_{false};
-  std::atomic<bool> abort_broadcast_{false};
+  /// The peers know of this run's abort: this rank broadcast it, or it
+  /// came from a peer, whose own frame or death reaches every rank.
+  std::atomic<bool> peers_told_{false};
   bool closed_{false};  // guarded by connect_mutex_
 };
 

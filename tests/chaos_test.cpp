@@ -501,8 +501,14 @@ TEST_P(ChaosFabricMesh, InjectedCrashUnwindsEveryRank) {
   mesh[2].fabric->set_fault_injector(nullptr);
   for (int r = 0; r < p; ++r) {
     EXPECT_TRUE(unwound[static_cast<std::size_t>(r)]) << "rank " << r;
-    EXPECT_TRUE(mesh[static_cast<std::size_t>(r)].fabric->aborted())
-        << "rank " << r;
+    const comm::Fabric& f = *mesh[static_cast<std::size_t>(r)].fabric;
+    EXPECT_TRUE(f.aborted()) << "rank " << r;
+    // Each survivor learned the cause from outside, and it names the
+    // crashed rank: rank 2's abort frame, or the segment word it raised.
+    if (r != 2) {
+      EXPECT_NE(f.abort_detail().find("rank 2"), std::string::npos)
+          << "rank " << r << ": " << f.abort_detail();
+    }
   }
   for (auto& m : mesh) m.shutdown();
   std::filesystem::remove_all(root);

@@ -117,12 +117,6 @@ TEST(FabricEdge, ProbeRespectsTagAndSource) {
   EXPECT_FALSE(f.probe(0, 1, 8));
 }
 
-TEST(FabricEdge, AllreduceEmptyVector) {
-  comm::SimFabric f(1);
-  const auto out = f.allreduce_sum_u64(0, {});
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(FabricEdge, ZeroByteMessages) {
   comm::SimFabric f(2);
   f.send(0, 1, 3, {});

@@ -8,11 +8,14 @@
 // channel, truncation), collectives, receive deadlines, fault injection,
 // and abort propagation are all covered.  Latency-model behaviour is
 // SimFabric-specific and kept in its own suite at the end, as are the
-// TcpFabric wire-failure and ShmFabric segment-lifecycle suites.
+// TcpFabric wire-failure suite, the FGF1 decoder fuzz, and the ShmFabric
+// segment-lifecycle suite.
+#include "comm/mailbox.hpp"
 #include "comm/shm_fabric.hpp"
 #include "comm/sim_fabric.hpp"
 #include "comm/tcp_fabric.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 #include <gtest/gtest.h>
@@ -26,9 +29,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -219,11 +224,14 @@ TEST_P(FabricConformance, TruncationThrows) {
   EXPECT_EQ(b->node(1).recv(1, 0, 1, big).bytes, 5u);
 }
 
+// Negative tags carry the fabric's internal collective traffic; no public
+// call may name one, probe included.
 TEST_P(FabricConformance, NegativeUserTagRejected) {
   auto b = make(2);
   EXPECT_THROW(b->node(0).send(0, 1, -5, {}), std::invalid_argument);
   std::vector<std::byte> buf(4);
   EXPECT_THROW(b->node(1).recv(1, 0, -5, buf), std::invalid_argument);
+  EXPECT_THROW(b->node(1).probe(1, 0, -5), std::invalid_argument);
 }
 
 TEST_P(FabricConformance, RankRangeChecked) {
@@ -231,6 +239,9 @@ TEST_P(FabricConformance, RankRangeChecked) {
   EXPECT_THROW(b->node(0).send(0, 5, 1, {}), std::out_of_range);
   std::vector<std::byte> buf(4);
   EXPECT_THROW(b->node(1).recv(9, 0, 1, buf), std::out_of_range);
+  EXPECT_THROW(b->node(1).recv(1, 99, 1, buf), std::out_of_range);
+  EXPECT_THROW(b->node(1).probe(9, 0, 1), std::out_of_range);
+  EXPECT_THROW(b->node(1).probe(1, 99, 1), std::out_of_range);
 }
 
 TEST_P(FabricConformance, ProbeSeesPendingMessage) {
@@ -328,20 +339,6 @@ TEST_P(FabricConformance, AbortWakesAlltoallv) {
   b->node(0).abort();
   for (auto& th : t) th.join();
   EXPECT_EQ(woken.load(), p - 1);
-}
-
-TEST_P(FabricConformance, AbortWakesSendrecvReplace) {
-  auto b = make(2);
-  std::thread t([&] {
-    std::uint64_t v = 1;
-    // Partner never sends back: blocked in the receive half.
-    EXPECT_THROW(b->node(0).sendrecv_replace(
-                     0, 1, 1, 4, {reinterpret_cast<std::byte*>(&v), 8}),
-                 FabricAborted);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  b->node(1).abort();
-  t.join();
 }
 
 // -- collectives -------------------------------------------------------------
@@ -573,23 +570,6 @@ TEST_P(FabricConformance, OverlappedCollectivesDoNotCrossMatch) {
   }
 }
 
-TEST_P(FabricConformance, SendrecvReplaceExchangesRing) {
-  const int p = 4;
-  auto b = make(p);
-  std::vector<std::uint64_t> vals(p);
-  on_all(p, [&](NodeId me) {
-    std::uint64_t v = static_cast<std::uint64_t>(me);
-    // Shift values one step around the ring.
-    b->node(me).sendrecv_replace(me, (me + 1) % p, (me + p - 1) % p, 9,
-                                 {reinterpret_cast<std::byte*>(&v), 8});
-    vals[static_cast<std::size_t>(me)] = v;
-  });
-  for (int me = 0; me < p; ++me) {
-    EXPECT_EQ(vals[static_cast<std::size_t>(me)],
-              static_cast<std::uint64_t>((me + p - 1) % p));
-  }
-}
-
 TEST_P(FabricConformance, AllgatherU64) {
   const int p = 5;
   auto b = make(p);
@@ -608,20 +588,6 @@ TEST_P(FabricConformance, AllgatherU64) {
   }
 }
 
-TEST_P(FabricConformance, AllreduceSum) {
-  const int p = 3;
-  auto b = make(p);
-  std::vector<std::vector<std::uint64_t>> got(p);
-  on_all(p, [&](NodeId me) {
-    const std::uint64_t mine[2] = {static_cast<std::uint64_t>(me + 1), 10};
-    got[static_cast<std::size_t>(me)] = b->node(me).allreduce_sum_u64(me, mine);
-  });
-  for (int me = 0; me < p; ++me) {
-    EXPECT_EQ(got[static_cast<std::size_t>(me)][0], 1u + 2u + 3u);
-    EXPECT_EQ(got[static_cast<std::size_t>(me)][1], 30u);
-  }
-}
-
 TEST_P(FabricConformance, SingleNodeDegenerates) {
   auto b = make(1);
   Fabric& f = b->node(0);
@@ -631,9 +597,6 @@ TEST_P(FabricConformance, SingleNodeDegenerates) {
   const auto all = f.allgather_u64(0, 42);
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0], 42u);
-  std::uint64_t v = 7;
-  f.sendrecv_replace(0, 0, 0, 1, {reinterpret_cast<std::byte*>(&v), 8});
-  EXPECT_EQ(v, 7u);
 }
 
 // -- receive deadlines -------------------------------------------------------
@@ -709,12 +672,16 @@ TEST_P(FabricConformance, CrashedNodeThrowsAndStaysDown) {
   fault::Injector inj(9);
   inj.arm(fault::kFabricCrash, fault::Rule::one_shot(1).on_node(1));
   b->set_fault_injector_all(&inj);
+  // A probe reads the crashed flag but is not a fabric.crash op: the
+  // first op, where the rule fires, is still the send.
+  EXPECT_FALSE(b->node(1).probe(1, 0, 1));
   EXPECT_THROW(b->node(1).send(1, 0, 1, bytes_of("x")), FabricNodeCrashed);
   EXPECT_TRUE(b->node(1).crashed(1));
   // Permanently down, even with the injector detached.
   b->set_fault_injector_all(nullptr);
   std::vector<std::byte> buf(4);
   EXPECT_THROW(b->node(1).recv(1, 0, 1, buf), FabricNodeCrashed);
+  EXPECT_THROW(b->node(1).probe(1, 0, 1), FabricNodeCrashed);
   // Survivors keep talking.
   b->node(0).send(0, 2, 1, bytes_of("on"));
   EXPECT_EQ(b->node(2).recv(2, 0, 1, buf).bytes, 2u);
@@ -722,6 +689,47 @@ TEST_P(FabricConformance, CrashedNodeThrowsAndStaysDown) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, FabricConformance,
                          ::testing::Values("sim", "tcp", "shm"),
+                         [](const ::testing::TestParamInfo<const char*>& i) {
+                           return std::string(i.param);
+                         });
+
+// -- one-rank fabrics: the rank a process hosts --------------------------------
+
+/// Expect `call` to throw the base's std::logic_error for a rank this
+/// process does not host (not one of logic_error's range or argument
+/// subclasses).
+void expect_not_hosted(const std::function<void()>& call, NodeId rank) {
+  try {
+    call();
+    ADD_FAILURE() << "expected std::logic_error for rank " << rank;
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not host rank " +
+                                         std::to_string(rank)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+class OneRankFabric : public FabricConformance {};
+
+// A tcp or shm fabric hosts one rank.  A call that names another rank as
+// its own is a programming error, whatever the wire.
+TEST_P(OneRankFabric, RejectsRanksItDoesNotHost) {
+  auto b = make(2);
+  Fabric& f = b->node(0);
+  std::vector<std::byte> buf(4);
+  expect_not_hosted([&] { f.send(1, 0, 1, bytes_of("x")); }, 1);
+  expect_not_hosted([&] { f.recv(1, 0, 1, buf); }, 1);
+  expect_not_hosted([&] { (void)f.probe(1, 0, 1); }, 1);
+  // The rank it does host still works, to itself and to its peer.
+  f.send(0, 0, 1, bytes_of("me"));
+  EXPECT_EQ(f.recv(0, 0, 1, buf).bytes, 2u);
+  f.send(0, 1, 1, bytes_of("you"));
+  EXPECT_EQ(b->node(1).recv(1, 0, 1, buf).bytes, 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, OneRankFabric,
+                         ::testing::Values("tcp", "shm"),
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return std::string(i.param);
                          });
@@ -1062,9 +1070,44 @@ TEST(TcpFabricWire, SequenceGapAbortsWithACause) {
                               "sequence 5, expected 0");
 }
 
+// Regression: the receiver added the frame's delay to the
+// clock unchecked, so a delay just under 2^63 ns overflowed the signed time
+// arithmetic (undefined behaviour; in practice it wrapped into the past
+// and the message was delivered at once), and a delay of 2^63 or more read
+// as negative and did the same.  A delay past the clock's range now means
+// what it says: never deliverable.
+TEST(TcpFabricWire, DelayPastTheClockNeverDelivers) {
+  for (const std::uint64_t delay :
+       {std::uint64_t{INT64_MAX}, std::uint64_t{UINT64_MAX}}) {
+    FakePeer peer;
+    TcpFabric fab(2, 1);
+    connect_fake_mesh(fab, peer);
+    auto hdr = wire::data_frame_header(/*tag=*/7, /*seq=*/0, 3);
+    wire::put_u64(hdr.data() + 21, delay);
+    peer.send_bytes(hdr.data(), hdr.size());
+    peer.send_bytes("abc", 3);
+    fab.set_recv_deadline(std::chrono::milliseconds(100));
+    std::vector<std::byte> buf(8);
+    EXPECT_THROW(fab.recv(1, 0, 7, buf), FabricTimeout) << delay;
+    EXPECT_FALSE(fab.probe(1, 0, 7));
+    EXPECT_FALSE(fab.aborted());
+  }
+}
+
 TEST(TcpFabricWire, UnknownFrameTypeAbortsWithACause) {
   expect_corrupt_header_abort(wire::control_frame_header(/*type=*/9, 0),
                               "unknown frame type 9");
+}
+
+// A TcpFabric hosts its rank only once connect() has brought the mesh up;
+// until then every call naming the rank is a usage error, not a hang.
+TEST(TcpFabricWire, CallsBeforeConnectAreRejected) {
+  TcpFabric f(2, 0);
+  std::vector<std::byte> buf(4);
+  expect_not_hosted([&] { f.send(0, 1, 1, bytes_of("x")); }, 0);
+  expect_not_hosted([&] { f.send(0, 0, 1, bytes_of("x")); }, 0);
+  expect_not_hosted([&] { f.recv(0, 1, 1, buf); }, 0);
+  expect_not_hosted([&] { (void)f.probe(0, 1, 1); }, 0);
 }
 
 // The receive path recycles payload vectors through the frame pool
@@ -1092,6 +1135,266 @@ TEST(TcpFabricWire, ReceivePayloadsAreRecycled) {
   b.shutdown();
 }
 
+// -- FGF1 decoder fuzz ---------------------------------------------------------
+//
+// Seeded mutation fuzz of TcpFabric's frame decoder, on the FakePeer
+// harness above.  Valid frame streams (data, ABORT, BYE) get byte flips,
+// truncations, splices, and edits to magic, type, seq, length and delay;
+// a fresh rank 1 decodes each one from a fake rank 0 that then closes.
+// Every run must end one of two ways: the fabric delivered only messages
+// the stream really framed, or it aborted with a cause.  A reference
+// decoder written from the wire format says which, and the whole fuzz
+// runs under a deadline (and, in ci, under each sanitizer).  Mutated
+// lengths stay near the stream's own or above kMaxMessageBytes, and byte
+// flips never touch a length field: an in-cap length is allocated before
+// its payload arrives, so a random one would only measure the allocator.
+// FG_CHAOS_SEED picks the schedule; ci's chaos soak replays ten seeds
+// under TSan.
+
+namespace fgf1 {
+
+std::uint64_t seed() {
+  if (const char* s = std::getenv("FG_CHAOS_SEED")) {
+    return std::strtoull(s, nullptr, 10);
+  }
+  return 42;
+}
+
+std::uint32_t get_u32(const std::byte* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+std::uint64_t get_u64(const std::byte* p) {
+  return get_u32(p) | (std::uint64_t{get_u32(p + 4)} << 32);
+}
+
+struct Frame {
+  std::uint8_t type;  // 0 = DATA, 1 = ABORT, 2 = BYE
+  int tag;
+  std::size_t bytes;
+};
+
+/// A stream of `frames` with consecutive sequence numbers, and the offset
+/// of each frame's header.  Payload bytes all have the top bit set, so a
+/// length read from payload bytes after a desync is far above the cap.
+struct Stream {
+  std::vector<std::byte> bytes;
+  std::vector<std::size_t> headers;
+};
+
+Stream encode(const std::vector<Frame>& frames) {
+  Stream s;
+  std::uint32_t seq = 0;
+  for (const Frame& f : frames) {
+    s.headers.push_back(s.bytes.size());
+    std::vector<std::byte> hdr =
+        f.type == 0 ? wire::data_frame_header(f.tag, seq, f.bytes)
+                    : wire::control_frame_header(f.type, seq);
+    s.bytes.insert(s.bytes.end(), hdr.begin(), hdr.end());
+    for (std::size_t i = 0; i < f.bytes; ++i) {
+      s.bytes.push_back(static_cast<std::byte>(0x80 | ((i * 37 + seq) & 0x7f)));
+    }
+    ++seq;
+  }
+  return s;
+}
+
+struct Message {
+  int tag;
+  std::vector<std::byte> payload;
+};
+
+/// What a correct decoder does with `s` followed by EOF: the messages a
+/// kAnyTag receive can take, in order, whether the run ends without an
+/// abort (only after a BYE, at a frame boundary), and the largest payload
+/// length it allocates.
+struct Expected {
+  std::vector<Message> visible;
+  bool clean{false};
+  std::uint64_t max_alloc{0};
+};
+
+/// Longest injected delay the drain waits out.  A longer one pins its
+/// message, and by per-source non-overtaking every later one.
+constexpr std::uint64_t kMaxWaitedDelayNs = 100'000'000;
+
+Expected reference_decode(const std::vector<std::byte>& s) {
+  Expected e;
+  std::size_t off = 0;
+  std::uint32_t seq = 0;
+  bool bye = false;
+  bool aborted = false;  // after an ABORT frame, decoding goes on
+  bool pinned = false;
+  for (;;) {
+    if (off == s.size()) {
+      e.clean = bye && !aborted;
+      return e;
+    }
+    if (s.size() - off < wire::kHeaderBytes) return e;  // EOF in a header
+    const std::byte* h = s.data() + off;
+    if (get_u32(h) != wire::kFrameMagic) return e;
+    const auto type = std::to_integer<std::uint8_t>(h[4]);
+    const auto tag = static_cast<std::int32_t>(get_u32(h + 5));
+    const std::uint64_t len = get_u64(h + 13);
+    const std::uint64_t delay = get_u64(h + 21);
+    if (len > Fabric::kMaxMessageBytes) return e;
+    e.max_alloc = std::max(e.max_alloc, len);
+    if (s.size() - off - wire::kHeaderBytes < len) return e;  // EOF in payload
+    if (get_u32(h + 9) != seq++ || type > 2) return e;
+    if (type == 0 && !aborted) {
+      pinned = pinned || delay > kMaxWaitedDelayNs;
+      if (!pinned && tag >= 0) {
+        const std::byte* p = h + wire::kHeaderBytes;
+        e.visible.push_back({tag, std::vector<std::byte>(p, p + len)});
+      }
+    }
+    aborted = aborted || type == 1;
+    bye = bye || type == 2;
+    off += wire::kHeaderBytes + len;
+  }
+}
+
+/// Largest payload a run may make the decoder allocate.  Single edits keep
+/// lengths near the corpus's own or above the cap, but a splice or a flip
+/// can still assemble an in-cap length from bytes of several frames; such
+/// a stream is drawn again.
+constexpr std::uint64_t kMaxFuzzAlloc = std::uint64_t{1} << 20;
+
+/// One to two in-place edits — a byte flip or a magic, type, seq, length
+/// or delay edit — then, two times in three, a truncation or a splice
+/// with another stream of the corpus.
+std::vector<std::byte> mutate(const Stream& in, const std::vector<Stream>& corpus,
+                              util::Xoshiro256& rng) {
+  std::vector<std::byte> s = in.bytes;
+  const auto is_length_byte = [&](std::size_t pos) {
+    for (std::size_t h : in.headers) {
+      if (pos >= h + 13 && pos < h + 21) return true;
+    }
+    return false;
+  };
+  for (std::uint64_t e = 1 + rng.below(2); e > 0; --e) {
+    std::byte* h = s.data() + in.headers[rng.below(in.headers.size())];
+    switch (rng.below(6)) {
+      case 0: {
+        std::size_t pos = rng.below(s.size());
+        while (is_length_byte(pos)) pos = rng.below(s.size());
+        s[pos] ^= static_cast<std::byte>(1 + rng.below(255));
+        break;
+      }
+      case 1:
+        wire::put_u32(h, static_cast<std::uint32_t>(rng.next()));
+        break;
+      case 2:
+        h[4] = static_cast<std::byte>(rng.below(256));
+        break;
+      case 3:
+        wire::put_u32(h + 9, get_u32(h + 9) + 1 +
+                                 static_cast<std::uint32_t>(rng.below(4)));
+        break;
+      case 4:  // a delay the drain waits out, or any delay at all
+        wire::put_u64(h + 21, rng.below(2) == 0 ? rng.below(50'000'000)
+                                                : rng.next());
+        break;
+      default: {
+        const std::uint64_t len = get_u64(h + 13);
+        wire::put_u64(h + 13, rng.below(2) == 0
+                                  ? len + rng.below(17) - std::min<std::uint64_t>(len, 8)
+                                  : Fabric::kMaxMessageBytes + 1 +
+                                        (rng.next() >> 2));
+        break;
+      }
+    }
+  }
+  switch (rng.below(3)) {
+    case 0:
+      s.resize(rng.below(s.size()));
+      break;
+    case 1: {
+      const std::vector<std::byte>& o = corpus[rng.below(corpus.size())].bytes;
+      s.resize(rng.below(s.size() + 1));
+      s.insert(s.end(), o.begin() + static_cast<std::ptrdiff_t>(
+                                        rng.below(o.size() + 1)),
+               o.end());
+      break;
+    }
+    default:
+      break;
+  }
+  return s;
+}
+
+}  // namespace fgf1
+
+TEST(Fgf1DecoderFuzz, MutatedStreamsDeliverFramedMessagesOrAbortWithACause) {
+  const std::vector<fgf1::Stream> corpus = {
+      fgf1::encode({{0, 7, 5}, {0, 7, 64}, {0, 3, 0}, {2, 0, 0}}),
+      fgf1::encode({{0, 7, 1000}, {1, 0, 0}}),
+      fgf1::encode({{0, 5, 300}, {0, 7, 2}, {2, 0, 0}, {0, 5, 40}}),
+  };
+  util::Xoshiro256 rng(fgf1::seed());
+  constexpr int kRuns = 1000;
+  int clean = 0;
+  util::Stopwatch sw;
+  for (int run = 0; run < kRuns; ++run) {
+    SCOPED_TRACE("FG_CHAOS_SEED=" + std::to_string(fgf1::seed()) + " run " +
+                 std::to_string(run));
+    std::vector<std::byte> stream;
+    fgf1::Expected want;
+    do {
+      stream = fgf1::mutate(corpus[rng.below(corpus.size())], corpus, rng);
+      want = fgf1::reference_decode(stream);
+    } while (want.max_alloc > fgf1::kMaxFuzzAlloc);
+
+    FakePeer peer;
+    TcpFabric fab(2, 1);
+    connect_fake_mesh(fab, peer);
+    fab.set_recv_deadline(std::chrono::seconds(10));
+    peer.send_bytes(stream.data(), stream.size());
+    peer.close_abruptly();
+
+    // Drain: a clean run delivers exactly the visible messages; any other
+    // run must end in an abort, having delivered a prefix of them.
+    std::vector<std::byte> buf(1 << 16);
+    std::size_t got = 0;
+    bool aborted = false;
+    try {
+      while (!want.clean || got < want.visible.size()) {
+        const RecvResult r = fab.recv(1, kAnySource, kAnyTag, buf);
+        ASSERT_LT(got, want.visible.size())
+            << "delivered a message the stream did not frame";
+        const fgf1::Message& m = want.visible[got++];
+        ASSERT_EQ(r.tag, m.tag);
+        ASSERT_EQ(r.bytes, m.payload.size());
+        ASSERT_TRUE(std::equal(m.payload.begin(), m.payload.end(),
+                               buf.begin()));
+      }
+    } catch (const FabricAborted&) {
+      aborted = true;
+    } catch (const FabricTimeout&) {
+      ADD_FAILURE() << "decoder neither delivered nor aborted";
+    }
+    if (want.clean) {
+      EXPECT_FALSE(aborted) << fab.abort_detail();
+      fab.shutdown();
+      EXPECT_FALSE(fab.probe(1, kAnySource, kAnyTag))
+          << "delivered more than the stream framed";
+      ++clean;
+    } else {
+      EXPECT_TRUE(aborted);
+      EXPECT_FALSE(fab.abort_detail().empty());
+    }
+  }
+  // Both outcomes were exercised, and no run waited out a deadline.
+  EXPECT_GT(clean, 0);
+  EXPECT_LT(clean, kRuns);
+  EXPECT_LT(sw.elapsed_seconds(), 60.0);
+}
+
 // -- ShmFabric-specific: segment lifecycle and crash detection ---------------
 
 TEST(ShmSegmentTest, CreateValidatesGeometry) {
@@ -1103,6 +1406,31 @@ TEST(ShmSegmentTest, CreateValidatesGeometry) {
       ShmSegment::create(2, ShmSegmentOptions{.ring_slots = 4,
                                               .slot_bytes = 100}),
       std::invalid_argument);
+}
+
+/// An FG segment header (the SegHeader layout in shm_fabric.cpp).
+struct SegmentGeometry {
+  std::uint32_t nodes;
+  std::uint32_t ring_slots;
+  std::uint64_t slot_bytes;
+  std::uint64_t ring_stride;
+  std::uint64_t total_bytes;
+};
+
+/// A memfd of `file_bytes` bytes whose header claims geometry `g`.
+int forged_segment(SegmentGeometry g, std::size_t file_bytes) {
+  const int fd =
+      static_cast<int>(::syscall(SYS_memfd_create, "fg-test-forged", 1u));
+  EXPECT_GE(fd, 0);
+  EXPECT_EQ(::ftruncate(fd, static_cast<off_t>(file_bytes)), 0);
+  const std::uint32_t words[4] = {0x314D4746u /* "FGM1" */, 1, g.nodes,
+                                  g.ring_slots};
+  const std::uint64_t sizes[3] = {g.slot_bytes, g.ring_stride, g.total_bytes};
+  EXPECT_EQ(::pwrite(fd, words, sizeof words, 0),
+            static_cast<ssize_t>(sizeof words));
+  EXPECT_EQ(::pwrite(fd, sizes, sizeof sizes, sizeof words),
+            static_cast<ssize_t>(sizeof sizes));
+  return fd;
 }
 
 TEST(ShmSegmentTest, AttachRejectsForeignFds) {
@@ -1121,6 +1449,38 @@ TEST(ShmSegmentTest, AttachRejectsForeignFds) {
   ASSERT_EQ(::ftruncate(blank, 1 << 16), 0);
   EXPECT_THROW(ShmSegment::attach(blank), std::invalid_argument);
   ::close(blank);
+
+  // Forged headers.  The fd reaches attach() from outside (fgsort
+  // --shm-fd), and every ring offset comes from the header, so a geometry
+  // that does not describe the mapping must be refused, never mapped and
+  // trusted.  For 3 ranks with 2 slots of 64 B, the ring stride is 384 B
+  // (head and tail lines plus 2 slots of header line + payload) and the
+  // segment 2,624 B (header, 3 status lines, abort line, then 6 rings).
+  // Only attach() is called: a ShmFabric on a forged header would start
+  // its receiver threads on it.
+  const auto attaches = [](SegmentGeometry g, std::size_t file_bytes) {
+    const int fd = forged_segment(g, file_bytes);
+    bool ok = true;
+    try {
+      ShmSegment::attach(fd);
+    } catch (const std::invalid_argument&) {
+      ok = false;
+    }
+    ::close(fd);
+    return ok;
+  };
+  EXPECT_TRUE(attaches({3, 2, 64, 384, 2624}, 2624));  // the honest header
+  // slot_bytes not a multiple of 64 (stride and size consistent with it).
+  EXPECT_FALSE(attaches({3, 2, 100, 456, 3056}, 3056));
+  // A 1 MiB ring stride over a 2,624-byte mapping.
+  EXPECT_FALSE(attaches({3, 2, 64, 1 << 20, 2624}, 2624));
+  // 4 ranks claimed in a segment sized for 3 (4 ranks need 4,992 B).
+  EXPECT_FALSE(attaches({4, 2, 64, 384, 2624}, 2624));
+  // A geometry whose size overflows 64 bits.
+  EXPECT_FALSE(
+      attaches({3, 2, std::uint64_t{1} << 62, (std::uint64_t{1} << 63) + 256,
+                2624},
+               2624));
 }
 
 TEST(ShmSegmentTest, AttachByFdSharesTheSegment) {
@@ -1357,6 +1717,21 @@ TEST(SimFabric, SendRejectsPayloadsOverTheLimit) {
   EXPECT_THROW(f.send(0, 1, 3, {static_cast<const std::byte*>(p), n}),
                std::length_error);
   ::munmap(p, n);
+}
+
+// Every message between hosted ranks lands in a vector from the receiving
+// mailbox's pool; steady-state traffic must show reuse.
+TEST(SimFabric, PayloadsAreRecycled) {
+  SimFabric f(2);
+  const std::vector<std::byte> payload(1024, std::byte{0x07});
+  std::vector<std::byte> buf(1024);
+  for (int i = 0; i < 8; ++i) {
+    f.send(0, 1, 5, payload);
+    const RecvResult r = f.recv(1, 0, 5, buf);
+    EXPECT_EQ(r.bytes, payload.size());
+    EXPECT_EQ(buf, payload);
+  }
+  EXPECT_GT(f.recv_pool_reuses(), 0u);
 }
 
 TEST(SimFabric, FifoSurvivesSizeVariation) {

@@ -320,13 +320,18 @@ echo "==> wrote $bench_dir/BENCH_serve.json (server drained clean, exit 0)"
 # distinct seeds.  Injection schedules are a pure function of the seed,
 # so each iteration exercises a different (but reproducible) failure
 # pattern; the disk-fault tests are parameterized over both disk
-# backends, so every seed soaks stdio and native alike.  A seed that breaks here reproduces locally
-# with FG_CHAOS_SEED=<seed> build-ci-tsan/tests/chaos_test.
-echo "==> chaos soak (tsan, 10 seeds)"
+# backends, so every seed soaks stdio and native alike.  The same seeds
+# drive the FGF1 frame-decoder fuzz, so each one also feeds TcpFabric a
+# different set of mutated streams.  A seed that breaks here reproduces
+# locally with FG_CHAOS_SEED=<seed> build-ci-tsan/tests/chaos_test (or
+# build-ci-tsan/tests/fabric_test --gtest_filter='Fgf1DecoderFuzz.*').
+echo "==> chaos soak + FGF1 decoder fuzz (tsan, 10 seeds)"
 for seed in 1 2 3 5 8 13 21 34 55 89; do
   echo "==> chaos seed $seed"
   FG_CHAOS_SEED=$seed "$root/build-ci-tsan/tests/chaos_test" \
     --gtest_brief=1
+  FG_CHAOS_SEED=$seed "$root/build-ci-tsan/tests/fabric_test" \
+    --gtest_filter='Fgf1DecoderFuzz.*' --gtest_brief=1
 done
 
 echo "==> ci: all configurations passed"
