@@ -24,19 +24,19 @@
 //    an unoverlapped tail of disk writes on the heavy nodes.
 //
 // The paper's claim to reproduce: multi wins, increasingly so as the
-// receive skew grows.
-#include "bench_common.hpp"
+// receive skew grows.  Each (nodes, skew) configuration runs once per
+// variant; the table is the output.
 #include "comm/cluster.hpp"
 #include "core/fg.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <mutex>
+#include <vector>
 
 namespace {
 
@@ -246,33 +246,9 @@ double run_single(const AblationParams& ap) {
   return wall.elapsed_seconds();
 }
 
-void BM_Ablation(benchmark::State& state, bool multi) {
-  AblationParams ap;
-  ap.nodes = static_cast<int>(state.range(0));
-  ap.skew = static_cast<double>(state.range(1));
-  for (auto _ : state) {
-    state.SetIterationTime(multi ? run_multi(ap) : run_single(ap));
-  }
-  state.counters["rounds"] = static_cast<double>(ap.rounds);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (const bool multi : {true, false}) {
-    auto* b = benchmark::RegisterBenchmark(
-        multi ? "ablation/multi_pipeline" : "ablation/single_pipeline",
-        [multi](benchmark::State& s) { BM_Ablation(s, multi); });
-    b->ArgNames({"nodes", "skew"});
-    for (const auto nodes : {4, 8}) {
-      for (const auto skew : {1, 2, 4}) b->Args({nodes, skew});
-    }
-    b->UseManualTime()->Iterations(1)->Unit(benchmark::kSecond);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+int main() {
   fg::util::TextTable t;
   t.header({"nodes", "receive skew", "single s", "multi s", "multi/single"});
   for (const auto nodes : {4, 8}) {
@@ -287,7 +263,7 @@ int main(int argc, char** argv) {
              fg::util::fmt_percent(multi / single)});
     }
   }
-  std::printf("\nAblation (paper Section VIII): disjoint pipelines vs a "
+  std::printf("Ablation (paper Section VIII): disjoint pipelines vs a "
               "single linear pipeline\nunder skewed communication.  Lower "
               "multi/single = bigger win for the paper's\nextension; skew 1 "
               "= balanced traffic, where the two should tie.\n");

@@ -3,19 +3,23 @@
 // sizes".  Buffers that are too small waste each operation's setup cost
 // (seeks, message headers); too few buffers starve the pipeline of
 // overlap; too-large buffers reduce the number of rounds until the
-// pipeline cannot hide latency behind other buffers.
-#include "bench_common.hpp"
+// pipeline cannot hide latency behind other buffers.  Each sweep point
+// runs once and verifies its output; an incorrect sort exits 1.
+//
+//   bench_buffers               the dsort sweep and the queue-hop table
+//   bench_buffers --gate=PATH   the queue-hop gate alone (see run_gate)
 #include "core/buffer.hpp"
 #include "core/channel.hpp"
 #include "core/queue.hpp"
+#include "sort/experiment.hpp"
+#include "util/table.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -24,11 +28,11 @@ namespace {
 
 fg::sort::SortConfig sweep_config(std::uint64_t buffer_records,
                                   std::size_t num_buffers) {
-  auto cfg = fg::bench::figure8_config(16);
-  // A quarter of the figure-8 dataset keeps the sweep quick.
-  cfg.records = fg::sort::csort_compatible_records(
-      std::max<std::uint64_t>(fg::bench::bench_records() / 4, 1 << 16),
-      cfg.nodes, cfg.block_records);
+  fg::sort::SortConfig cfg;
+  cfg.nodes = 16;
+  // A quarter of the Figure-8 dataset keeps the sweep quick.
+  cfg.records = 1 << 19;
+  fg::sort::use_paper_geometry(cfg);
   cfg.buffer_records = buffer_records;
   cfg.out_buffer_records = buffer_records;
   cfg.merge_buffer_records = std::max<std::uint64_t>(buffer_records / 4, 256);
@@ -37,30 +41,13 @@ fg::sort::SortConfig sweep_config(std::uint64_t buffer_records,
   return cfg;
 }
 
+/// dsort's total seconds; run_program throws on an incorrect sort.
 double run_once(std::uint64_t buffer_records, std::size_t num_buffers) {
   const auto out = fg::sort::run_program(
       true, sweep_config(buffer_records, num_buffers),
       fg::sort::LatencyProfile::paper_like());
   return out.result.times.total();
 }
-
-void BM_Buffers(benchmark::State& state) {
-  for (auto _ : state) {
-    state.SetIterationTime(run_once(static_cast<std::uint64_t>(state.range(0)),
-                                    static_cast<std::size_t>(state.range(1))));
-  }
-}
-
-BENCHMARK(BM_Buffers)
-    ->ArgNames({"buffer_records", "num_buffers"})
-    ->Args({2048, 4})
-    ->Args({8192, 1})
-    ->Args({8192, 2})
-    ->Args({8192, 4})
-    ->Args({32768, 4})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kSecond);
 
 // ---------------------------------------------------------------------------
 // Queue-hop microbenchmark: the cost of conveying one token from a
@@ -72,6 +59,7 @@ BENCHMARK(BM_Buffers)
 // token count, so it includes the full push+pop handshake.
 
 constexpr std::size_t kHopCapacity = 64;
+constexpr std::uint64_t kTokens = 1 << 20;
 
 double hop_ns_per_op(fg::Channel& q, std::uint64_t tokens) {
   fg::Buffer buf(64, fg::PipelineId{0}, false);
@@ -103,21 +91,10 @@ double hop_ns(const std::string& channel, std::uint64_t tokens) {
   return hop_ns_per_op(q, tokens);
 }
 
-void BM_QueueHop(benchmark::State& state, const std::string& channel) {
-  const auto tokens = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    state.SetIterationTime(hop_ns(channel, tokens) * 1e-9 *
-                           static_cast<double>(tokens));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tokens));
-}
-
-// --gate=<path>: measure both channels outside google-benchmark, write a
-// small JSON artifact (consumed by tools/ci.sh), and fail the process if
+// --gate=<path>: measure both channels, best of three trials each, write
+// a small JSON artifact (consumed by tools/ci.sh), and fail the process if
 // the SPSC ring does not beat the mutex queue on queue-hop ns/op.
 int run_gate(const std::string& path) {
-  constexpr std::uint64_t kTokens = 1 << 20;
   constexpr int kTrials = 3;
   double mpmc = 1e300, spsc = 1e300;
   for (int i = 0; i < kTrials; ++i) {
@@ -152,30 +129,41 @@ int run_gate(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--gate=", 7) == 0) {
-      return run_gate(argv[i] + 7);
+int main(int argc, char** argv) try {
+  if (argc > 1) {
+    if (argc > 2 || std::strncmp(argv[1], "--gate=", 7) != 0) {
+      std::fprintf(stderr, "usage: %s [--gate=PATH]\n", argv[0]);
+      return 2;
     }
+    return run_gate(argv[1] + 7);
   }
-  for (const auto& [name, channel] :
-       {std::pair<const char*, const char*>{"queue_hop/mpmc", "mpmc"},
-        {"queue_hop/spsc", "spsc"}}) {
-    benchmark::RegisterBenchmark(
-        name, [channel](benchmark::State& s) { BM_QueueHop(s, channel); })
-        ->ArgName("tokens")
-        ->Arg(1 << 20)
-        ->UseManualTime()
-        ->Unit(benchmark::kNanosecond);
+  fg::util::TextTable sweep;
+  sweep.header({"buffer records", "buffers", "dsort s"});
+  for (const auto& [records, buffers] :
+       {std::pair<std::uint64_t, std::size_t>{2048, 4}, {8192, 1}, {8192, 2},
+        {8192, 4}, {32768, 4}}) {
+    sweep.row({std::to_string(records), std::to_string(buffers),
+               fg::util::fmt_seconds(run_once(records, buffers))});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  std::printf("\ndsort buffer tuning (see counters above): the paper "
-              "reports results for the\nbest buffer sizes; the sweet spot "
-              "balances per-operation setup cost against\noverlap depth.\n"
-              "queue_hop compares the stage-to-stage conveyance cost of the "
-              "two channel\nkinds; run with --gate=<path> for the CI "
-              "artifact and pass/fail check.\n");
+  std::printf("dsort buffer tuning (16 nodes, 512 Ki 16-byte records, paper "
+              "latency, verified):\nthe paper reports results for the best "
+              "buffer sizes; the sweet spot balances\nper-operation setup "
+              "cost against overlap depth.\n");
+  std::fputs(sweep.render().c_str(), stdout);
+
+  fg::util::TextTable hop;
+  hop.header({"channel", "queue hop ns/op"});
+  for (const char* channel : {"mpmc", "spsc"}) {
+    char ns[32];
+    std::snprintf(ns, sizeof ns, "%.1f", hop_ns(channel, kTokens));
+    hop.row({channel, ns});
+  }
+  std::printf("\nQueue hop: the stage-to-stage conveyance cost of the two "
+              "channel kinds over\n2^20 tokens; run with --gate=PATH for "
+              "the CI artifact and pass/fail check.\n");
+  std::fputs(hop.render().c_str(), stdout);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "bench_buffers: %s\n", e.what());
+  return 1;
 }

@@ -4,15 +4,14 @@
 // rounds x stages x per-stage-cost — provided the buffer pool is deep
 // enough to keep every stage busy.
 //
-// Sweeps pipeline depth and pool size.  With num_buffers = 1 there is no
-// overlap at all (one buffer ping-pongs through the stages serially);
-// the speedup column of the pool-size sweep is the measured benefit.
+// Sweeps pipeline depth and pool size, one run per configuration.  With
+// num_buffers = 1 there is no overlap at all (one buffer ping-pongs
+// through the stages serially); the speedup column of the pool-size sweep
+// is the measured benefit.
 #include "core/fg.hpp"
 #include "obs/session.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
@@ -23,21 +22,24 @@ namespace {
 
 using namespace fg;
 
-double run_pipeline(int stages, std::size_t buffers, std::uint64_t rounds,
-                    std::chrono::microseconds stage_cost,
+// Every stage blocks 2 ms per buffer, for 64 rounds.
+constexpr std::uint64_t kRounds = 64;
+constexpr auto kCost = std::chrono::microseconds(2000);
+
+double run_pipeline(int stages, std::size_t buffers,
                     obs::Session* obs = nullptr) {
   PipelineGraph graph;
   PipelineConfig pc;
   pc.name = "bench";
   pc.num_buffers = buffers;
   pc.buffer_bytes = 4096;
-  pc.rounds = rounds;
+  pc.rounds = kRounds;
   Pipeline& p = graph.add_pipeline(pc);
   std::vector<std::unique_ptr<MapStage>> owned;
   for (int s = 0; s < stages; ++s) {
     owned.push_back(std::make_unique<MapStage>(
-        "stage" + std::to_string(s), [stage_cost](Buffer&) {
-          std::this_thread::sleep_for(stage_cost);
+        "stage" + std::to_string(s), [](Buffer&) {
+          std::this_thread::sleep_for(kCost);
           return StageAction::kConvey;
         }));
     p.add_stage(*owned.back());
@@ -53,16 +55,14 @@ double run_pipeline(int stages, std::size_t buffers, std::uint64_t rounds,
 /// of averaging several runs each way; the workload is sleep-dominated,
 /// so any contention the span layer added would surface directly.
 void report_tracing_overhead() {
-  constexpr std::uint64_t kRounds = 64;
-  constexpr auto kCost = std::chrono::microseconds(2000);
   constexpr int kStages = 4;
   constexpr std::size_t kBuffers = 8;
   constexpr int kReps = 3;
   double untraced = 0, traced = 0;
   for (int i = 0; i < kReps; ++i) {
-    untraced += run_pipeline(kStages, kBuffers, kRounds, kCost);
+    untraced += run_pipeline(kStages, kBuffers);
     obs::Session session;
-    traced += run_pipeline(kStages, kBuffers, kRounds, kCost, &session);
+    traced += run_pipeline(kStages, kBuffers, &session);
   }
   untraced /= kReps;
   traced /= kReps;
@@ -75,48 +75,17 @@ void report_tracing_overhead() {
               traced, overhead);
 }
 
-void BM_Overlap(benchmark::State& state) {
-  const int stages = static_cast<int>(state.range(0));
-  const auto buffers = static_cast<std::size_t>(state.range(1));
-  constexpr std::uint64_t kRounds = 64;
-  constexpr auto kCost = std::chrono::microseconds(2000);
-  for (auto _ : state) {
-    state.SetIterationTime(run_pipeline(stages, buffers, kRounds, kCost));
-  }
-  const double serial = static_cast<double>(stages) * kRounds * 0.002;
-  state.counters["serial_s"] = serial;
-}
-
-BENCHMARK(BM_Overlap)
-    ->ArgNames({"stages", "buffers"})
-    ->Args({1, 4})
-    ->Args({2, 1})
-    ->Args({2, 4})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Args({4, 8})
-    ->Args({6, 8})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kSecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  constexpr std::uint64_t kRounds = 64;
-  constexpr auto kCost = std::chrono::microseconds(2000);
+int main() {
   fg::util::TextTable t;
   t.header({"stages", "buffers", "wall s", "serial s", "speedup"});
   for (const int stages : {2, 4, 6}) {
     for (const std::size_t buffers : {std::size_t{1}, std::size_t{4},
                                       std::size_t{8}}) {
-      const double wall = run_pipeline(stages, buffers, kRounds, kCost);
-      const double serial = static_cast<double>(stages) * kRounds * 0.002;
+      const double wall = run_pipeline(stages, buffers);
+      const double serial =
+          static_cast<double>(stages) * kRounds * util::to_seconds(kCost);
       char speed[32];
       std::snprintf(speed, sizeof speed, "%.2fx", serial / wall);
       t.row({std::to_string(stages), std::to_string(buffers),
@@ -124,7 +93,7 @@ int main(int argc, char** argv) {
              speed});
     }
   }
-  std::printf("\nPipeline overlap: wall time vs the serial (no-overlap) "
+  std::printf("Pipeline overlap: wall time vs the serial (no-overlap) "
               "bound.\nExpected shape: speedup -> stages once buffers >= "
               "stages; ~1x with one buffer.\n");
   std::fputs(t.render().c_str(), stdout);

@@ -2,15 +2,15 @@
 // tile transpose) coalesce into block-sized chunks and run at disk speed;
 // a random bijection degrades to per-record messages and seeks — the
 // classic PDM result that general permutation is harder than sorting's
-// structured data movement.  All runs verify their output.
+// structured data movement.  Each case runs once and verifies its output;
+// an incorrect permutation exits 1.
 #include "apps/ooc_permute.hpp"
 #include "sort/dataset.hpp"
 #include "sort/experiment.hpp"
 #include "util/table.hpp"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <exception>
 
 namespace {
 
@@ -40,7 +40,7 @@ double run_case(const apps::PermuteConfig& cfg, const apps::IndexMap& map) {
   sort::generate_input(ws, g);
   const apps::PermuteResult r = apps::run_permute(cluster, ws, cfg, map);
   if (apps::verify_permutation(ws, cfg, map) != 0) {
-    throw std::runtime_error("bench_permute: incorrect permutation");
+    throw std::runtime_error("incorrect permutation");
   }
   return r.seconds;
 }
@@ -68,38 +68,26 @@ std::vector<Case> cases() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  auto all = cases();
-  std::vector<std::pair<std::string, double>> results;
-  for (auto& c : all) {
+int main() try {
+  fg::util::TextTable t;
+  t.header({"permutation", "records", "seconds", "MiB/s"});
+  for (const Case& c : cases()) {
     const auto cfg = bench_config(c.records);
     const double secs = run_case(cfg, c.map);
-    results.emplace_back(c.name, secs);
     const double mib = static_cast<double>(c.records * cfg.record_bytes) /
                        (1024.0 * 1024.0);
-    benchmark::RegisterBenchmark(
-        (std::string("permute/") + c.name).c_str(),
-        [secs, mib](benchmark::State& state) {
-          for (auto _ : state) state.SetIterationTime(secs);
-          state.counters["MiB"] = mib;
-          state.counters["MiB_per_s"] = mib / secs;
-        })
-        ->UseManualTime()->Iterations(1)->Unit(benchmark::kSecond);
+    char rate[32];
+    std::snprintf(rate, sizeof rate, "%.3g", mib / secs);
+    t.row({c.name, std::to_string(c.records), fg::util::fmt_seconds(secs),
+           rate});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  fg::util::TextTable t;
-  t.header({"permutation", "records", "seconds"});
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    t.row({all[i].name, std::to_string(all[i].records),
-           fg::util::fmt_seconds(results[i].second)});
-  }
-  std::printf("\nOut-of-core permutation (disjoint send/receive pipelines, "
+  std::printf("Out-of-core permutation (disjoint send/receive pipelines, "
               "verified):\nstructured permutations coalesce into block "
               "chunks; the random bijection\npays per-record messages and "
               "seeks.\n");
   std::fputs(t.render().c_str(), stdout);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "bench_permute: %s\n", e.what());
+  return 1;
 }

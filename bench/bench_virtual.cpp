@@ -4,14 +4,13 @@
 // node run hundreds of vertical pipelines ("most current systems cannot
 // handle hundreds of threads").
 //
-// Reports thread counts and wall times.  The one-thread-per-stage
-// variant is capped at 128 pipelines to stay friendly to small machines —
-// which is itself the point being demonstrated.
+// Reports thread counts and wall times, one run per configuration.  The
+// one-thread-per-stage variant is capped at 128 pipelines to stay
+// friendly to small machines — which is itself the point being
+// demonstrated.
 #include "core/fg.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
-
-#include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdio>
@@ -64,45 +63,15 @@ Outcome run_k_pipelines(int k, bool virtual_stages, std::uint64_t rounds) {
   return {wall.elapsed_seconds(), planned};
 }
 
-void BM_Virtual(benchmark::State& state, bool virtual_stages) {
-  const int k = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const Outcome o = run_k_pipelines(k, virtual_stages, 32);
-    state.SetIterationTime(o.seconds);
-    state.counters["planned_threads"] = static_cast<double>(o.planned_threads);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  struct Entry {
-    const char* name;
-    bool virtual_stages;
-  };
-  for (const Entry& e : {Entry{"virtual/shared_threads", true},
-                         Entry{"virtual/one_thread_per_stage", false}}) {
-    auto* b = benchmark::RegisterBenchmark(
-        e.name,
-        [v = e.virtual_stages](benchmark::State& s) { BM_Virtual(s, v); });
-    b->ArgName("pipelines");
-    for (const int k : {8, 32, 128}) b->Arg(k);
-    // Beyond a thread per stage: only feasible with virtual stages.
-    if (e.virtual_stages) {
-      b->Arg(512);
-      b->Arg(1024);
-    }
-    b->UseManualTime()->Iterations(1)->Unit(benchmark::kSecond);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+int main() {
   fg::util::TextTable t;
   t.header({"pipelines", "virtual thr", "virtual s", "normal thr", "normal s"});
   for (const int k : {8, 32, 128, 512, 1024}) {
     const Outcome vo = run_k_pipelines(k, true, 32);
     std::string nt = "-", ns = "-";
+    // Beyond a thread per stage: only feasible with virtual stages.
     if (k <= 128) {
       const Outcome no = run_k_pipelines(k, false, 32);
       nt = std::to_string(no.planned_threads);
@@ -111,7 +80,7 @@ int main(int argc, char** argv) {
     t.row({std::to_string(k), std::to_string(vo.planned_threads),
            fg::util::fmt_seconds(vo.seconds), nt, ns});
   }
-  std::printf("\nVirtual stages keep the thread count constant as pipeline "
+  std::printf("Virtual stages keep the thread count constant as pipeline "
               "counts grow.  The\nnormal variant is omitted beyond 128 "
               "pipelines — that is the point.\n");
   std::fputs(t.render().c_str(), stdout);

@@ -33,20 +33,13 @@ Distribution parse_dist(const char* s) {
 int main(int argc, char** argv) {
   SortConfig cfg;
   cfg.nodes = argc > 1 ? std::atoi(argv[1]) : 4;
-  const std::uint64_t target =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 262144;
+  cfg.records = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 262144;
   cfg.record_bytes = argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 16;
   const Distribution dist =
       argc > 4 ? parse_dist(argv[4]) : Distribution::kUniform;
 
-  cfg.block_records = (4096 * 16) / cfg.record_bytes;
-  cfg.buffer_records = (16384 * 16) / cfg.record_bytes;
-  cfg.num_buffers = 4;
-  cfg.merge_buffer_records = (4096 * 16) / cfg.record_bytes;
-  cfg.out_buffer_records = (16384 * 16) / cfg.record_bytes;
-  cfg.oversample = 128;
   // Same record count for both programs: csort needs r*s == N.
-  cfg.records = csort_compatible_records(target, cfg.nodes, cfg.block_records);
+  use_paper_geometry(cfg);
 
   std::printf("sorting %llu %u-byte records (%s) on %d simulated nodes...\n",
               static_cast<unsigned long long>(cfg.records), cfg.record_bytes,

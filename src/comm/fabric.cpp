@@ -24,12 +24,12 @@ void check_recv_tag(int tag, const char* what) {
 }  // namespace
 
 Fabric::Fabric(int nodes, util::LatencyModel model)
-    : nodes_(nodes), model_(model) {
+    : nodes_(nodes), model_(model), pool_(std::make_unique<PayloadPool>()) {
   if (nodes <= 0) {
     throw std::invalid_argument("fg::comm::Fabric: need at least one node");
   }
   for (NodeId n = 0; n < nodes; ++n) {
-    mailboxes_.push_back(std::make_unique<Mailbox>(n));
+    mailboxes_.push_back(std::make_unique<Mailbox>(n, *pool_));
   }
   hosted_ = std::vector<std::atomic<bool>>(static_cast<std::size_t>(nodes));
   traffic_.resize(static_cast<std::size_t>(nodes));
@@ -92,11 +92,7 @@ std::string Fabric::abort_detail() const {
   return abort_detail_;
 }
 
-std::uint64_t Fabric::recv_pool_reuses() const {
-  std::uint64_t n = 0;
-  for (const auto& mb : mailboxes_) n += mb->pool().reuses();
-  return n;
-}
+std::uint64_t Fabric::recv_pool_reuses() const { return pool_->reuses(); }
 
 void Fabric::check_crash(NodeId node) {
   std::atomic<bool>& flag = crashed_[static_cast<std::size_t>(node)];
@@ -184,8 +180,8 @@ void Fabric::send_payload(NodeId src, NodeId dst, int tag,
     const util::TimePoint deliver_at =
         util::Clock::now() + spike +
         (src == dst ? util::Duration::zero() : model_.cost(data.size()));
-    Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dst)];
-    mb.deposit(src, tag, mb.pool().copy(data), deliver_at);
+    mailboxes_[static_cast<std::size_t>(dst)]->deposit(
+        src, tag, pool_->copy(data), deliver_at);
   } else {
     send_message(src, dst, tag, data, spike);
   }

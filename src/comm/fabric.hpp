@@ -9,12 +9,13 @@
 // of its MPI.
 //
 // The base class is the one delivery path.  It delivers into a Mailbox
-// (the matched-message queue, with its payload pool) for every rank this
-// process hosts, and does everything above the wire once: argument
-// validation, fault injection (drop/delay/crash), delivery between hosted
-// ranks under the latency model, matched receive and probe, traffic
-// counters, comm spans, the abort cause, and all collectives layered on
-// matched send/recv.  Three backends add only their wire:
+// (the matched-message queue) for every rank this process hosts, with
+// payloads from one pool they share, and does everything above the wire
+// once: argument validation, fault injection (drop/delay/crash), delivery
+// between hosted ranks under the latency model, matched receive and
+// probe, traffic counters, comm spans, the abort cause, and all
+// collectives layered on matched send/recv.  Three backends add only
+// their wire:
 //
 //   - SimFabric (sim_fabric.hpp): the whole cluster in one process, every
 //     rank hosted, so it has no wire at all; the latency model is charged
@@ -54,6 +55,7 @@ class Injector;
 namespace fg::comm {
 
 class Mailbox;
+class PayloadPool;
 
 /// Node rank within the cluster, 0-based.
 using NodeId = int;
@@ -190,8 +192,8 @@ class Fabric {
   /// Empty if no such abort happened; the first cause wins.
   std::string abort_detail() const;
 
-  /// How many payloads the hosted ranks' mailboxes served from their
-  /// pools instead of a fresh allocation (proves the recycling works).
+  /// How many payloads the hosted ranks' mailboxes served from the shared
+  /// pool instead of a fresh allocation (proves the recycling works).
   std::uint64_t recv_pool_reuses() const;
 
   // -- fault injection ------------------------------------------------------
@@ -327,6 +329,11 @@ class Fabric {
  private:
   int nodes_;
   util::LatencyModel model_;
+  /// The payload freelist every hosted mailbox draws from and returns to:
+  /// a spent payload serves the next message to any rank, so a process
+  /// hosting P ranks pins one bounded freelist, not P.  Declared before
+  /// the mailboxes, which hold a reference to it.
+  std::unique_ptr<PayloadPool> pool_;
   /// One mailbox per rank, fixed at construction; only a hosted rank's is
   /// ever used.  abort() wakes all of them, so a rank hosted after an
   /// abort (a TcpFabric connecting late) starts aborted.

@@ -16,9 +16,10 @@
 // TcpFabric or ShmFabric).  Sends
 // between hosted ranks deposit directly, stamped with the latency model;
 // tcp and shm receiver threads deposit what arrives off the wire, stamped
-// with any injected delay.  Each Mailbox owns the PayloadPool its
-// messages' payload vectors come from and go back to, so steady-state
-// traffic reuses memory instead of allocating per message.
+// with any injected delay.  Payload vectors come from, and go back to,
+// the one PayloadPool the Fabric shares among its hosted mailboxes, so
+// steady-state traffic reuses memory instead of allocating per message,
+// and a process keeps one bounded freelist however many ranks it hosts.
 #pragma once
 
 #include "comm/fabric.hpp"
@@ -91,7 +92,7 @@ class PayloadPool {
 
 class Mailbox {
  public:
-  explicit Mailbox(NodeId owner) : owner_(owner) {}
+  Mailbox(NodeId owner, PayloadPool& pool) : owner_(owner), pool_(pool) {}
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
@@ -99,7 +100,6 @@ class Mailbox {
   /// Where deposited payloads come from; take() releases each spent one
   /// back here.
   PayloadPool& pool() noexcept { return pool_; }
-  const PayloadPool& pool() const noexcept { return pool_; }
 
   /// Enqueue a message and wake matching receivers.  Delivery is clamped
   /// to be non-overtaking per source channel, like MPI: a message may not
@@ -225,7 +225,7 @@ class Mailbox {
   /// floor for that channel.  Guarded by mutex_.
   std::unordered_map<NodeId, util::TimePoint> floors_;
   bool aborted_{false};
-  PayloadPool pool_;
+  PayloadPool& pool_;
 };
 
 }  // namespace fg::comm

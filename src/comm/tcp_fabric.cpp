@@ -395,12 +395,15 @@ void TcpFabric::receiver_loop(NodeId peer) {
     if (len > 0) {
       const net::ReadOutcome pr = net::read_full(p.fd, payload.data(), len);
       if (!pr.ok()) {
+        // A payload read is always inside a frame: EOF before its first
+        // byte truncates the frame as much as EOF after some.
         if (!shutting_down_.load(std::memory_order_relaxed)) {
-          peer_ended("rank " + std::to_string(peer) + ": " + net::describe(pr) +
-                         (pr.status == net::ReadStatus::kError
-                              ? ""
-                              : " (died mid-payload, " + std::to_string(len) +
-                                    "-byte frame truncated)"),
+          const std::string how =
+              pr.status == net::ReadStatus::kError
+                  ? net::describe(pr)
+                  : "peer closed the connection mid-frame (died mid-payload, " +
+                        std::to_string(len) + "-byte frame truncated)";
+          peer_ended("rank " + std::to_string(peer) + ": " + how,
                      /*warn=*/true);
         }
         return;

@@ -26,18 +26,17 @@ std::filesystem::path unique_root() {
 }  // namespace
 
 Workspace::Workspace(int nodes, util::LatencyModel disk_model,
-                     DiskBackend backend, bool direct)
-    : Workspace(unique_root(), nodes, disk_model, backend, direct) {}
+                     DiskBackend backend)
+    : Workspace(unique_root(), nodes, disk_model, backend) {}
 
 Workspace::Workspace(std::filesystem::path root, int nodes,
-                     util::LatencyModel disk_model, DiskBackend backend,
-                     bool direct)
+                     util::LatencyModel disk_model, DiskBackend backend)
     : root_(std::move(root)), backend_(backend) {
   std::filesystem::create_directories(root_);
   disks_.reserve(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
     disks_.push_back(make_disk(backend, root_ / ("node" + std::to_string(i)),
-                               disk_model, direct));
+                               disk_model));
     disks_.back()->set_node(i);
   }
 }

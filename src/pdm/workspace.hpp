@@ -17,13 +17,13 @@ class Workspace {
   /// Create a workspace with one Disk per node under a fresh unique
   /// directory in the system temp dir.
   Workspace(int nodes, util::LatencyModel disk_model = util::LatencyModel::free(),
-            DiskBackend backend = DiskBackend::kStdio, bool direct = false);
+            DiskBackend backend = DiskBackend::kStdio);
 
   /// Create under an explicit root (created if needed; still removed on
   /// destruction unless keep() is called).
   Workspace(std::filesystem::path root, int nodes,
             util::LatencyModel disk_model,
-            DiskBackend backend = DiskBackend::kStdio, bool direct = false);
+            DiskBackend backend = DiskBackend::kStdio);
 
   ~Workspace();
 

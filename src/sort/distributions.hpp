@@ -39,11 +39,6 @@ enum class Distribution {
 /// applicable ("Uniform random", "All equal", ...).
 std::string to_string(Distribution d);
 
-/// All distributions the paper's Figure 8 sweeps, in figure order.
-inline constexpr Distribution kFigure8Distributions[] = {
-    Distribution::kUniform, Distribution::kAllEqual, Distribution::kNormal,
-    Distribution::kPoisson};
-
 /// Sort key for the record with global index `g` out of `total`, under
 /// `dist` with `seed`.  Deterministic and stateless.  `home_node` is the
 /// cluster node whose disk holds the record; only kNodeClustered uses it

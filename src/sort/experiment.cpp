@@ -5,6 +5,21 @@
 
 namespace fg::sort {
 
+void use_paper_geometry(SortConfig& cfg) {
+  constexpr std::uint32_t kBlockBytes = 64 << 10;
+  constexpr std::uint32_t kBufferBytes = 256 << 10;
+  cfg.block_records = kBlockBytes / cfg.record_bytes;
+  cfg.buffer_records = kBufferBytes / cfg.record_bytes;
+  cfg.num_buffers = 4;
+  cfg.merge_buffer_records = kBlockBytes / cfg.record_bytes;
+  cfg.merge_num_buffers = 3;
+  cfg.out_buffer_records = kBufferBytes / cfg.record_bytes;
+  cfg.out_num_buffers = 4;
+  cfg.oversample = 128;
+  cfg.records =
+      csort_compatible_records(cfg.records, cfg.nodes, cfg.block_records);
+}
+
 ProgramOutcome run_program(bool use_dsort, const SortConfig& cfg,
                            const LatencyProfile& lat) {
   pdm::Workspace ws(cfg.nodes, lat.disk);

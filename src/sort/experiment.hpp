@@ -1,7 +1,8 @@
-// The experiment driver shared by the benchmark harnesses and examples:
-// it provisions a simulated cluster (fabric + per-node disks with
-// paper-calibrated latency models), generates input, runs dsort and/or
-// csort, verifies the striped output, and renders Figure-8-style tables.
+// The experiment driver shared by fgsort, the benchmark mains and the
+// examples: the paper's buffer geometry, and a runner that provisions a
+// simulated cluster (fabric + per-node disks with paper-calibrated latency
+// models), generates input, runs dsort and/or csort, verifies the striped
+// output, and renders Figure-8-style tables.
 #pragma once
 
 #include "sort/csort.hpp"
@@ -43,6 +44,13 @@ struct LatencyProfile {
             util::LatencyModel::of(0, 24)};
   }
 };
+
+/// The paper experiment's geometry for `cfg.record_bytes`-byte records:
+/// 64 KiB striping blocks, 256 KiB pipeline buffers, 64 KiB merge
+/// buffers, oversampling 128, and `cfg.records` moved to a nearby count
+/// csort can sort, so every program sorts the same N.  Large buffers make
+/// transfer dominate setup cost, as the paper's multi-megabyte ones did.
+void use_paper_geometry(SortConfig& cfg);
 
 /// Outcome of running one program on one configuration.
 struct ProgramOutcome {

@@ -1,6 +1,7 @@
-// Plain-text table rendering for the benchmark harnesses.  The figure-8
-// benches print per-pass rows in the same layout as the paper's stacked
-// bars; this renderer keeps them aligned and machine-greppable.
+// Plain-text table rendering for fgsort, the bench mains and the
+// examples.  The Figure-8 table prints per-pass rows in the same layout
+// as the paper's stacked bars; this renderer keeps them aligned and
+// machine-greppable.
 #pragma once
 
 #include <cstddef>

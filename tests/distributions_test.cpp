@@ -19,12 +19,6 @@ TEST(Distributions, Names) {
   EXPECT_EQ(to_string(Distribution::kPoisson), "Poisson");
 }
 
-TEST(Distributions, Figure8ListMatchesPaperOrder) {
-  ASSERT_EQ(std::size(kFigure8Distributions), 4u);
-  EXPECT_EQ(kFigure8Distributions[0], Distribution::kUniform);
-  EXPECT_EQ(kFigure8Distributions[3], Distribution::kPoisson);
-}
-
 class DistParam : public ::testing::TestWithParam<Distribution> {};
 
 INSTANTIATE_TEST_SUITE_P(All, DistParam,

@@ -906,27 +906,32 @@ void connect_fake_mesh(TcpFabric& fab, FakePeer& peer) {
 
 // Regression (satellite): a peer killed mid-payload used to be
 // indistinguishable from any other receive failure.  The abort
-// diagnostic must now say the frame was truncated and how big it was.
+// diagnostic must say the frame was truncated and how big it was — also
+// when the peer died right after the header, before the payload's first
+// byte, where the cause used to claim "a frame boundary".
 TEST(TcpFabricWire, PeerDeathMidPayloadIsDiagnosed) {
-  FakePeer peer;
-  TcpFabric fab(2, 1);
-  connect_fake_mesh(fab, peer);
+  for (const std::size_t sent : {std::size_t{100}, std::size_t{0}}) {
+    FakePeer peer;
+    TcpFabric fab(2, 1);
+    connect_fake_mesh(fab, peer);
 
-  // A DATA frame that promises 4096 bytes, delivers 100, then dies.
-  const auto hdr = wire::data_frame_header(/*tag=*/7, /*seq=*/0, 4096);
-  peer.send_bytes(hdr.data(), hdr.size());
-  const std::vector<std::byte> partial(100, std::byte{0x42});
-  peer.send_bytes(partial.data(), partial.size());
-  peer.close_abruptly();
+    // A DATA frame that promises 4096 bytes, delivers `sent`, then dies.
+    const auto hdr = wire::data_frame_header(/*tag=*/7, /*seq=*/0, 4096);
+    peer.send_bytes(hdr.data(), hdr.size());
+    const std::vector<std::byte> partial(sent, std::byte{0x42});
+    peer.send_bytes(partial.data(), partial.size());
+    peer.close_abruptly();
 
-  std::vector<std::byte> buf(8192);
-  EXPECT_THROW(fab.recv(1, 0, 7, buf), FabricAborted);
-  const std::string detail = fab.abort_detail();
-  EXPECT_NE(detail.find("rank 0"), std::string::npos) << detail;
-  EXPECT_NE(detail.find("mid-frame"), std::string::npos) << detail;
-  EXPECT_NE(detail.find("died mid-payload"), std::string::npos) << detail;
-  EXPECT_NE(detail.find("4096-byte frame truncated"), std::string::npos)
-      << detail;
+    std::vector<std::byte> buf(8192);
+    EXPECT_THROW(fab.recv(1, 0, 7, buf), FabricAborted);
+    const std::string detail = fab.abort_detail();
+    EXPECT_NE(detail.find("rank 0"), std::string::npos) << detail;
+    EXPECT_NE(detail.find("mid-frame"), std::string::npos) << detail;
+    EXPECT_NE(detail.find("died mid-payload"), std::string::npos) << detail;
+    EXPECT_NE(detail.find("4096-byte frame truncated"), std::string::npos)
+        << detail;
+    EXPECT_EQ(detail.find("frame boundary"), std::string::npos) << detail;
+  }
 }
 
 TEST(TcpFabricWire, PeerDeathInsideHeaderIsDiagnosed) {
@@ -1640,7 +1645,8 @@ TEST(ShmFabricTest, FrozenHeartbeatAbortsSurvivors) {
 // even under TSan, and minutes away from what the scan costs at this
 // depth.
 TEST(MailboxTest, DeepQueueDepositStaysCheap) {
-  Mailbox mb(0);
+  PayloadPool pool;
+  Mailbox mb(0, pool);
   const util::TimePoint now = util::Clock::now();
   util::Stopwatch sw;
   // Worst case for the old scan: every deposit's source has no earlier
@@ -1658,7 +1664,8 @@ TEST(MailboxTest, DeepQueueDepositStaysCheap) {
 // wildcard must never surface an internal tag, and the internal traffic
 // must all still be there afterwards.
 TEST(MailboxTest, WildcardTakesInterleaveWithDeepQueues) {
-  Mailbox mb(0);
+  PayloadPool pool;
+  Mailbox mb(0, pool);
   const util::TimePoint now = util::Clock::now();
   constexpr int kNoise = 10'000;
   for (int i = 0; i < kNoise; ++i) mb.deposit(9, -5, {}, now);
@@ -1719,8 +1726,8 @@ TEST(SimFabric, SendRejectsPayloadsOverTheLimit) {
   ::munmap(p, n);
 }
 
-// Every message between hosted ranks lands in a vector from the receiving
-// mailbox's pool; steady-state traffic must show reuse.
+// Every message between hosted ranks lands in a vector from the fabric's
+// payload pool; steady-state traffic must show reuse.
 TEST(SimFabric, PayloadsAreRecycled) {
   SimFabric f(2);
   const std::vector<std::byte> payload(1024, std::byte{0x07});
@@ -1732,6 +1739,20 @@ TEST(SimFabric, PayloadsAreRecycled) {
     EXPECT_EQ(buf, payload);
   }
   EXPECT_GT(f.recv_pool_reuses(), 0u);
+}
+
+// The hosted ranks share one pool: a payload spent at rank 1 serves the
+// next message to rank 2.  With a freelist per mailbox, paper-fig8's 16
+// ranks each pinned their own.
+TEST(SimFabric, HostedRanksShareOnePayloadPool) {
+  SimFabric f(3);
+  const std::vector<std::byte> payload(1024, std::byte{0x07});
+  std::vector<std::byte> buf(1024);
+  f.send(0, 1, 5, payload);
+  EXPECT_EQ(f.recv(1, 0, 5, buf).bytes, payload.size());
+  f.send(0, 2, 5, payload);
+  EXPECT_EQ(f.recv(2, 0, 5, buf).bytes, payload.size());
+  EXPECT_EQ(f.recv_pool_reuses(), 1u);
 }
 
 TEST(SimFabric, FifoSurvivesSizeVariation) {

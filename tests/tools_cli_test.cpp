@@ -88,14 +88,6 @@ TEST(FgsortCli, UnknownDiskBackendRejected) {
   EXPECT_NE(r.output.find("stdio|native"), std::string::npos) << r.output;
 }
 
-TEST(FgsortCli, DirectRequiresNativeBackend) {
-  const RunResult r = run(g_fgsort + " --direct");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("--direct requires --disk native"),
-            std::string::npos)
-      << r.output;
-}
-
 TEST(FgsortCli, SeekAwareRequiresStdioBackend) {
   // Only the simulated spindle charges seeks; a native run used to exit 0
   // labelled "seek-aware" with nothing charged.
@@ -157,6 +149,29 @@ TEST(FgsortCli, UnknownFlagIsUsageError) {
                 " --channels mpmc")
                 .exit_code,
             2);
+  // O_DIRECT needs an aligned I/O plan, not only aligned buffers; the
+  // flag returns with that work.
+  EXPECT_EQ(run(g_fgsort +
+                " --program dsort --nodes 2 --records 4096 --latency none"
+                " --disk native --direct")
+                .exit_code,
+            2);
+}
+
+TEST(FgsortCli, AllProgramsPrintTheRatioLines) {
+  // One --program all run is one Figure-8 cell: the dsort/csort ratio the
+  // paper plots, and the dsort/ssort ratio that overlap buys.
+  const std::string small_run = " --nodes 2 --records 4096 --latency none";
+  const RunResult all = run(g_fgsort + " --program all" + small_run);
+  EXPECT_EQ(all.exit_code, 0) << all.output;
+  EXPECT_NE(all.output.find("\ndsort/csort "), std::string::npos)
+      << all.output;
+  EXPECT_NE(all.output.find("\ndsort/ssort "), std::string::npos)
+      << all.output;
+  // With one program there is nothing to compare.
+  const RunResult one = run(g_fgsort + " --program dsort" + small_run);
+  EXPECT_EQ(one.exit_code, 0) << one.output;
+  EXPECT_EQ(one.output.find("dsort/"), std::string::npos) << one.output;
 }
 
 TEST(FgnodeCli, GarbageNodesNamesTheFlag) {

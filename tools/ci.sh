@@ -273,6 +273,16 @@ echo "==> queue-hop bench gate (spsc vs mpmc)"
   --gate="$bench_dir/BENCH_queue_hop.json"
 echo "==> wrote $bench_dir/BENCH_queue_hop.json (spsc beats mpmc)"
 
+# Every bench/ main, once: each prints its table and runs each
+# configuration once.  bench_permute and bench_buffers verify their
+# outputs and exit nonzero on a wrong one, and so does any main that
+# fails; set -e stops the script there.
+for b in bench_ablation_pipelines bench_buffers bench_overlap bench_permute \
+    bench_virtual; do
+  echo "==> $b"
+  "$root/build-ci-release/bench/$b"
+done
+
 # Serving gate: bring up a real fgserve, drive it with the closed-loop
 # load generator twice — a clean pass (every job must complete and
 # byte-verify; its numbers go to BENCH_serve.json) and a chaos pass

@@ -2,8 +2,9 @@
 //
 // Provisions a simulated cluster, generates a striped dataset, runs the
 // requested program(s), verifies the output, and reports per-phase times
-// plus substrate counters.  Everything the benches do, but under manual
-// control — the tool a downstream user pokes the library with first.
+// plus substrate counters.  With --program all it also prints Figure 8's
+// dsort/csort ratio and the dsort/ssort ratio, so one run is one cell of
+// the paper's experiment (EXPERIMENTS.md gives the commands).
 //
 //   fgsort [options]
 //     --program dsort|csort|ssort|all   (default: all)
@@ -41,8 +42,6 @@
 //                                        disk, modeled latency.  native
 //                                        runs at hardware speed;
 //                                        --latency does not shape it)
-//     --direct                          (open files with O_DIRECT;
-//                                        native backend only)
 //
 // Multi-process mode (one OS process per cluster node):
 //     --fabric sim|tcp|shm              (default: sim)
@@ -121,7 +120,6 @@ struct Options {
   std::shared_ptr<comm::ShmSegment> shm_seg;
   int recv_timeout_ms{-1};  // -1 = unset (0 for sim, else 120000)
   pdm::DiskBackend disk{pdm::DiskBackend::kStdio};
-  bool direct{false};
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -135,7 +133,7 @@ struct Options {
                "          [--fabric sim|tcp|shm] [--rank R]\n"
                "          [--peers host:port,...] [--shm-fd FD]\n"
                "          [--recv-timeout-ms N]\n"
-               "          [--disk stdio|native] [--direct]\n",
+               "          [--disk stdio|native]\n",
                argv0);
   std::exit(2);
 }
@@ -157,7 +155,6 @@ Options parse(int argc, char** argv) try {
   int shm_fd = -1;
   opt.cfg.nodes = 16;
   opt.cfg.records = 1 << 20;
-  opt.cfg.oversample = 128;
   auto need = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
@@ -203,7 +200,6 @@ Options parse(int argc, char** argv) try {
     else if (a == "--fabric") opt.fabric = need(i);
     else if (a == "--rank") opt.rank = static_cast<int>(util::parse_int(need(i), "--rank", 0, (1 << 20) - 1));
     else if (a == "--disk") opt.disk = pdm::parse_disk_backend(need(i));
-    else if (a == "--direct") opt.direct = true;
     else if (a == "--peers") {
       std::string list = need(i);
       std::size_t pos = 0;
@@ -229,10 +225,6 @@ Options parse(int argc, char** argv) try {
     else if (a == "--shm-fd") shm_fd = static_cast<int>(util::parse_int(need(i), "--shm-fd", 0, INT32_MAX));
     else if (a == "--recv-timeout-ms") opt.recv_timeout_ms = static_cast<int>(util::parse_int(need(i), "--recv-timeout-ms", 0, INT32_MAX));
     else usage(argv[0]);
-  }
-  if (opt.direct && opt.disk == pdm::DiskBackend::kStdio) {
-    std::fprintf(stderr, "fgsort: --direct requires --disk native\n");
-    std::exit(2);
   }
   // Seek charging happens on the simulated spindle; native charges
   // nothing, so the flag would only mislabel the run.
@@ -302,14 +294,9 @@ Options parse(int argc, char** argv) try {
   if (opt.recv_timeout_ms < 0) {
     opt.recv_timeout_ms = opt.fabric != "sim" ? 120000 : 0;
   }
-  // Buffer geometry: 64 KiB blocks, 256 KiB pipeline buffers.
-  opt.cfg.block_records = (4096 * 16) / opt.cfg.record_bytes;
-  opt.cfg.buffer_records = (16384 * 16) / opt.cfg.record_bytes;
-  opt.cfg.merge_buffer_records = (4096 * 16) / opt.cfg.record_bytes;
-  opt.cfg.out_buffer_records = (16384 * 16) / opt.cfg.record_bytes;
-  // csort needs a compatible geometry; use the same N for all programs.
-  opt.cfg.records = sort::csort_compatible_records(
-      opt.cfg.records, opt.cfg.nodes, opt.cfg.block_records);
+  // The paper's geometry; csort needs a compatible N, and every program
+  // sorts the same one.
+  sort::use_paper_geometry(opt.cfg);
   return opt;
 } catch (const std::invalid_argument& e) {
   std::fprintf(stderr, "fgsort: %s\n", e.what());
@@ -416,9 +403,9 @@ RunReport run_one(const std::string& program, const Options& opt) {
   auto ws = opt.keep_dir
                 ? std::make_unique<pdm::Workspace>(
                       std::filesystem::path(*opt.keep_dir) / program,
-                      cfg.nodes, lat.disk, opt.disk, opt.direct)
+                      cfg.nodes, lat.disk, opt.disk)
                 : std::make_unique<pdm::Workspace>(cfg.nodes, lat.disk,
-                                                   opt.disk, opt.direct);
+                                                   opt.disk);
   if (opt.keep_dir) ws->keep();
   if (opt.seek_aware) ws->set_seek_aware(true);
 
@@ -567,7 +554,6 @@ std::string stats_json_blob(const Options& opt,
   w.kv("rank", opt.fabric != "sim" ? opt.rank : -1);
   w.kv("seek_aware", opt.seek_aware);
   w.kv("disk", std::string(pdm::to_string(opt.disk)));
-  w.kv("direct", opt.direct);
   w.kv("watchdog_ms", opt.cfg.watchdog_ms);
   w.kv("fault_spec", opt.fault_spec ? *opt.fault_spec : std::string{});
   w.end_object();
@@ -637,20 +623,18 @@ int main(int argc, char** argv) {
           : (opt.paper_latency ? "paper" : "none");
   if (opt.fabric != "sim") {
     std::printf("fgsort: %llu x %u-byte records (%s), rank %d of %d over "
-                "%s, disk=%s%s latency=%s%s\n",
+                "%s, disk=%s latency=%s%s\n",
                 static_cast<unsigned long long>(opt.cfg.records),
                 opt.cfg.record_bytes, sort::to_string(opt.cfg.dist).c_str(),
                 opt.rank, opt.cfg.nodes, opt.fabric.c_str(),
-                pdm::to_string(opt.disk),
-                opt.direct ? "(direct)" : "", latency_label,
+                pdm::to_string(opt.disk), latency_label,
                 opt.seek_aware ? ", seek-aware" : "");
   } else {
     std::printf("fgsort: %llu x %u-byte records (%s), %d simulated nodes, "
-                "disk=%s%s latency=%s%s\n",
+                "disk=%s latency=%s%s\n",
                 static_cast<unsigned long long>(opt.cfg.records),
                 opt.cfg.record_bytes, sort::to_string(opt.cfg.dist).c_str(),
-                opt.cfg.nodes, pdm::to_string(opt.disk),
-                opt.direct ? "(direct)" : "", latency_label,
+                opt.cfg.nodes, pdm::to_string(opt.disk), latency_label,
                 opt.seek_aware ? ", seek-aware" : "");
   }
 
@@ -679,6 +663,16 @@ int main(int argc, char** argv) {
            r.verify_skipped ? "skip" : (r.verify.ok() ? "yes" : "NO")});
   }
   std::fputs(t.render().c_str(), stdout);
+  // Figure 8's metric, and what FG's overlap buys over the synchronous
+  // program, when all three sorted the same input.
+  if (reports.size() == 3) {
+    const auto ratio = [&](const RunReport& r) {
+      return util::fmt_percent(
+          reports[0].result.times.total() / r.result.times.total(), 2);
+    };
+    std::printf("dsort/csort %s\ndsort/ssort %s\n", ratio(reports[1]).c_str(),
+                ratio(reports[2]).c_str());
+  }
 
   if (opt.stats) {
     std::printf("\nsubstrate totals (all nodes):\n");
