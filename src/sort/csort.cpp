@@ -48,6 +48,10 @@ CsortGeometry CsortGeometry::choose(std::uint64_t target, int nodes,
                                     std::uint64_t r_multiple_of) {
   const auto p = static_cast<std::uint64_t>(nodes);
   if (r_multiple_of == 0) r_multiple_of = 1;
+  // N: the r*s nearest the target, scored with a penalty on fewer than
+  // four columns per node.  Every record count the programs sort comes
+  // from here, so this search stays as it is: a Figure-8 cell's N, and
+  // with it its output stripes, never move.
   CsortGeometry best{};
   std::uint64_t best_score = ~0ULL;
   for (std::uint64_t s = p;; s += p) {
@@ -62,8 +66,6 @@ CsortGeometry CsortGeometry::choose(std::uint64_t target, int nodes,
     std::uint64_t r = std::max(r_min, round_up(target / s, unit));
     const std::uint64_t n = r * s;
     std::uint64_t score = n > target ? n - target : target - n;
-    // Penalize geometries with fewer than four columns per node: each
-    // pass then has too few rounds for the pipeline to overlap anything.
     if (s < 4 * p) score += target / 8 + 1;
     if (score < best_score) {
       best_score = score;
@@ -71,7 +73,25 @@ CsortGeometry CsortGeometry::choose(std::uint64_t target, int nodes,
     }
     if (s > target) break;  // defensive bound for tiny targets
   }
+  // Then the most columns columnsort allows at that N: each node's pass
+  // streams s/P columns through a pool of a few, so more columns mean
+  // more rounds to overlap and smaller buffers.  The loop bound is
+  // r >= 2(s-1)^2; s stays a multiple of P.
+  const std::uint64_t n = best.records();
+  for (std::uint64_t s = best.s + p; 2 * (s - 1) * (s - 1) * s <= n; s += p) {
+    const std::uint64_t r = n / s;
+    if (n % s == 0 && r % s == 0 && r % 2 == 0 && r % r_multiple_of == 0) {
+      best = CsortGeometry{r, s};
+    }
+  }
   return best;
+}
+
+CsortGeometry csort_geometry(const SortConfig& cfg) {
+  if (cfg.csort_r != 0 && cfg.csort_s != 0) {
+    return CsortGeometry{cfg.csort_r, cfg.csort_s};
+  }
+  return CsortGeometry::choose(cfg.records, cfg.nodes, cfg.block_records);
 }
 
 std::uint64_t csort_compatible_records(std::uint64_t target, int nodes,
@@ -164,10 +184,7 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
     throw std::invalid_argument(
         "fg::sort::run_csort: cluster/workspace/config node counts differ");
   }
-  CsortGeometry geom{cfg.csort_r, cfg.csort_s};
-  if (geom.r == 0 || geom.s == 0) {
-    geom = CsortGeometry::choose(cfg.records, cfg.nodes, cfg.block_records);
-  }
+  const CsortGeometry geom = csort_geometry(cfg);
   geom.validate(cfg.nodes);
   if (geom.records() != cfg.records) {
     throw std::invalid_argument(

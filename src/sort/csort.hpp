@@ -51,11 +51,16 @@ struct CsortGeometry {
   void validate(int nodes) const;
 
   /// Choose a geometry with r*s as close to `target` as the constraints
-  /// allow.  `r_multiple_of` adds a divisibility constraint on r (pass
-  /// the striping block size so columns align with striped blocks).
+  /// allow, and at that r*s the most columns they allow.  `r_multiple_of`
+  /// adds a divisibility constraint on r (pass the striping block size so
+  /// columns align with striped blocks).
   static CsortGeometry choose(std::uint64_t target, int nodes,
                               std::uint64_t r_multiple_of = 1);
 };
+
+/// The geometry run_csort uses for `cfg`: csort_r x csort_s when both are
+/// set, else choose(records, nodes, block_records).
+CsortGeometry csort_geometry(const SortConfig& cfg);
 
 /// A csort-compatible record count close to `target`; use this to pick an
 /// N that both csort and dsort can sort, for fair comparison.

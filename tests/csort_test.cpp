@@ -4,6 +4,7 @@
 #include "sort/csort.hpp"
 #include "sort/dataset.hpp"
 #include "sort/dsort.hpp"
+#include "util/budget.hpp"
 
 #include <gtest/gtest.h>
 
@@ -73,6 +74,56 @@ TEST(Geometry, CompatibleRecordsRoundTrips) {
   EXPECT_EQ(n, g.records());
 }
 
+TEST(Geometry, PinnedGeometries) {
+  struct Pin {
+    int p;
+    std::uint64_t records, block, r, s;
+  };
+  for (const Pin& pin : {
+           // Figure 8(a), every Section VI cell, fgbench's paper-fig8.
+           Pin{16, 2097152, 4096, 32768, 64},
+           // Figure 8(b) (64 B).
+           Pin{16, 524288, 1024, 8192, 64},
+           // fgbench's native-16b and shm-64b.
+           Pin{4, 16777216, 4096, 131072, 128},
+           Pin{4, 4194304, 1024, 32768, 128},
+           // A small target: s = 4 is valid at N = 4096.
+           Pin{1, 4096, 1024, 1024, 4},
+       }) {
+    const CsortGeometry g =
+        CsortGeometry::choose(pin.records, pin.p, pin.block);
+    EXPECT_EQ(g.r, pin.r) << "P=" << pin.p << " N=" << pin.records;
+    EXPECT_EQ(g.s, pin.s) << "P=" << pin.p << " N=" << pin.records;
+  }
+}
+
+// The chooser's rule: at the N it picks, no valid geometry has more
+// columns.  Checked by brute force over every divisor of N.
+class GeometryRule
+    : public ::testing::TestWithParam<
+          std::tuple<int, std::uint64_t, std::uint64_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, GeometryRule,
+                         ::testing::Combine(::testing::Values(1, 2, 4, 8, 16),
+                                            ::testing::Values(1000ull, 50000ull,
+                                                              1000000ull),
+                                            ::testing::Values(1ull, 8ull,
+                                                              1024ull,
+                                                              4096ull)));
+
+TEST_P(GeometryRule, MostColumnsAtTheChosenRecordCount) {
+  const auto [p, target, block] = GetParam();
+  const CsortGeometry g = CsortGeometry::choose(target, p, block);
+  EXPECT_NO_THROW(g.validate(p));
+  EXPECT_EQ(g.r % block, 0u);
+  const std::uint64_t n = g.records();
+  for (std::uint64_t s = g.s + 1; s <= n; ++s) {
+    if (n % s != 0 || (n / s) % block != 0) continue;
+    EXPECT_THROW((CsortGeometry{n / s, s}).validate(p), std::invalid_argument)
+        << "r=" << n / s << " s=" << s << " beats s=" << g.s;
+  }
+}
+
 // -- end-to-end sweeps --------------------------------------------------------
 
 using Params = std::tuple<int, std::uint32_t, Distribution>;
@@ -137,6 +188,26 @@ TEST(Csort, SingleColumnPerNode) {
   cfg.csort_s = 2;
   cfg.records = 100;
   EXPECT_TRUE(sort_and_verify(cfg).ok());
+}
+
+TEST(Csort, PoolsFitInOneAndAHalfInputs) {
+  // Each pass streams a node's columns through a pool of default depth,
+  // so the pools follow the column, not the stripe: four nodes sorting
+  // 16 MiB need about 18 MiB of pool buffers in their largest pass
+  // (pass 3).  The budget throws util::QuotaExceeded if a pass's pools
+  // would overdraw it.
+  SortConfig cfg;
+  cfg.nodes = 4;
+  cfg.records = 1 << 20;
+  cfg.block_records = 1024;
+  ASSERT_EQ(csort_compatible_records(cfg.records, cfg.nodes,
+                                     cfg.block_records),
+            cfg.records);
+  util::ByteBudget budget("csort pools",
+                          cfg.records * cfg.record_bytes * 3 / 2);
+  cfg.runtime.pool_budget = &budget;
+  EXPECT_TRUE(sort_and_verify(cfg).ok());
+  EXPECT_EQ(budget.used(), 0u);  // every pass released its pools
 }
 
 TEST(Csort, ManyRoundsPerNode) {

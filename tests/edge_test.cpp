@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 namespace fg {
@@ -177,12 +178,20 @@ TEST(KernelEdge, SortMaxAndMinKeys) {
 }
 
 TEST(GeometryEdge, ChooserPrefersEnoughRounds) {
-  // For a comfortably large target the chooser must produce at least
-  // four columns per node (otherwise no pipelining within a pass).
+  // Each pass runs one round per column a node owns, so the chooser takes
+  // the most columns columnsort allows at its N: the next multiple of P
+  // that divides N breaks r >= 2(s-1)^2 or the block alignment.
   for (int p : {2, 4, 16}) {
     const auto g = sort::CsortGeometry::choose(1 << 21, p, 1024);
-    EXPECT_GE(g.s, static_cast<std::uint64_t>(4 * p)) << "P=" << p;
     EXPECT_NO_THROW(g.validate(p));
+    const std::uint64_t n = g.records();
+    for (std::uint64_t s = g.s + static_cast<std::uint64_t>(p); s <= n;
+         s += static_cast<std::uint64_t>(p)) {
+      if (n % s != 0 || (n / s) % 1024 != 0) continue;
+      EXPECT_THROW((sort::CsortGeometry{n / s, s}).validate(p),
+                   std::invalid_argument)
+          << "P=" << p << ": s=" << s << " is valid, more than " << g.s;
+    }
   }
 }
 

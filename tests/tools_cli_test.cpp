@@ -4,12 +4,18 @@
 // through atoi/stoul, so "--nodes banana" silently became 0 nodes and
 // failed far from the typo.  Every garbage flag must now exit with a
 // diagnostic that names the flag and echoes the offending value.
+#include "util/json.hpp"
+
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
 
@@ -172,6 +178,36 @@ TEST(FgsortCli, AllProgramsPrintTheRatioLines) {
   const RunResult one = run(g_fgsort + " --program dsort" + small_run);
   EXPECT_EQ(one.exit_code, 0) << one.output;
   EXPECT_EQ(one.output.find("dsort/"), std::string::npos) << one.output;
+}
+
+TEST(FgsortCli, CsortReportsItsGeometry) {
+  // The stats blob and the banner name the r x s matrix csort sorted.
+  const std::string json =
+      (std::filesystem::temp_directory_path() /
+       ("fgsort_geometry_" + std::to_string(::getpid()) + ".json"))
+          .string();
+  const RunResult r = run(g_fgsort +
+                          " --program csort --nodes 4 --records 65536"
+                          " --latency none --stats-json " + json);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(json);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::filesystem::remove(json);
+  const fg::util::Json blob = fg::util::Json::parse(text);
+  const std::uint64_t records = blob.at("config").at("records").u64();
+  const fg::util::Json& geo =
+      blob.at("programs").at(std::size_t{0}).at("csort_geometry");
+  const std::uint64_t rows = geo.at("r").u64();
+  const std::uint64_t cols = geo.at("s").u64();
+  EXPECT_EQ(rows * cols, records);
+  EXPECT_GE(rows, 2 * (cols - 1) * (cols - 1));
+  EXPECT_EQ(cols % 4, 0u);
+  EXPECT_EQ(geo.at("columns_per_node").u64(), cols / 4);
+  const std::string line = "csort: " + std::to_string(rows) + " x " +
+                           std::to_string(cols) + ", " +
+                           std::to_string(cols / 4) + " columns per node\n";
+  EXPECT_NE(r.output.find(line), std::string::npos) << r.output;
 }
 
 TEST(FgnodeCli, GarbageNodesNamesTheFlag) {

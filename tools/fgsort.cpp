@@ -562,6 +562,16 @@ std::string stats_json_blob(const Options& opt,
   for (const auto& r : reports) {
     w.begin_object();
     w.kv("program", r.program);
+    if (r.program == "csort") {
+      const sort::CsortGeometry g = sort::csort_geometry(opt.cfg);
+      w.key("csort_geometry");
+      w.begin_object();
+      w.kv("r", g.r);
+      w.kv("s", g.s);
+      w.kv("columns_per_node",
+           g.s / static_cast<std::uint64_t>(opt.cfg.nodes));
+      w.end_object();
+    }
     w.key("times");
     w.begin_object();
     w.kv("sampling_s", r.result.times.sampling);
@@ -636,6 +646,14 @@ int main(int argc, char** argv) {
                 opt.cfg.record_bytes, sort::to_string(opt.cfg.dist).c_str(),
                 opt.cfg.nodes, pdm::to_string(opt.disk), latency_label,
                 opt.seek_aware ? ", seek-aware" : "");
+  }
+  if (opt.program == "all" || opt.program == "csort") {
+    const sort::CsortGeometry g = sort::csort_geometry(opt.cfg);
+    std::printf("csort: %llu x %llu, %llu columns per node\n",
+                static_cast<unsigned long long>(g.r),
+                static_cast<unsigned long long>(g.s),
+                static_cast<unsigned long long>(
+                    g.s / static_cast<std::uint64_t>(opt.cfg.nodes)));
   }
 
   std::vector<RunReport> reports;
