@@ -5,6 +5,7 @@
 #include "sort/kernels.hpp"
 #include "util/timer.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <mutex>
@@ -99,6 +100,28 @@ std::uint64_t csort_compatible_records(std::uint64_t target, int nodes,
   return CsortGeometry::choose(target, nodes, r_multiple_of).records();
 }
 
+std::size_t csort_pass3_buffer_bytes(const CsortGeometry& geom, int nodes,
+                                     std::uint32_t record_bytes,
+                                     std::uint64_t block_records) {
+  const std::uint64_t p = static_cast<std::uint64_t>(nodes);
+  const std::uint64_t b = block_records;
+  // The auxiliary block holds M_j: r/2 records in the first column, r in
+  // the middle ones and 3r/2 in the last.
+  const std::uint64_t merged = geom.r + geom.r / 2;
+  // One round's merged runs cover at most P*r + r/2 contiguous global
+  // records, which touch at most `blocks` striping blocks, dealt
+  // round-robin: a node receives at most ceil(blocks/P) of them.  Each
+  // received chunk lies within one block, and a block holds two chunks
+  // only where one M_j ends inside it, at most P-1 times a round.  Each
+  // chunk carries a 12-byte header, and the buffer a P x u64 size header.
+  const std::uint64_t span = p * geom.r + geom.r / 2;
+  const std::uint64_t blocks = (span + 2 * b - 2) / b;
+  const std::uint64_t mine = (blocks + p - 1) / p;
+  const std::uint64_t recv = std::min(span, mine * b) * record_bytes +
+                             (mine + p - 1) * 12 + p * 8;
+  return static_cast<std::size_t>(std::max(merged * record_bytes, recv));
+}
+
 namespace {
 
 /// Parameters shared by the three passes on every node.
@@ -111,20 +134,6 @@ struct Geo {
   std::uint64_t blk_records() const { return cpn * chunk; }  // alltoall block
   std::uint64_t blk_bytes() const { return blk_records() * rec; }
 };
-
-/// Pass-3 redistribution sizing: worst-case bytes one node can *receive*
-/// in one round.  The round's merged runs cover at most P*r + r/2
-/// contiguous global records; striping spreads them across nodes at block
-/// granularity, so a node's share is bounded by r + r/(2P) plus block
-/// rounding, and each (sender, receiver) pair contributes at most a few
-/// partial chunks of header overhead.
-std::size_t p3_recv_capacity(const Geo& g, std::uint32_t block_records) {
-  const std::uint64_t recs = 2 * g.r + 4ULL * block_records;
-  const std::uint64_t chunks =
-      g.r / block_records + 4ULL * static_cast<std::uint64_t>(g.p) + 16;
-  return static_cast<std::size_t>(recs * g.rec + chunks * 12 +
-                                  static_cast<std::uint64_t>(g.p) * 8);
-}
 
 /// Steps 3 and 5.  The shuffle before each lays a column down as s sorted
 /// chunks of r/s records at chunk boundaries (see the write stages), so
@@ -375,7 +384,8 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
   // ------------------------------------------------------------------
   {
     util::Stopwatch sw;
-    const std::size_t p3cap = p3_recv_capacity(g, cfg.block_records);
+    const std::size_t p3_bytes = csort_pass3_buffer_bytes(
+        geom, cfg.nodes, cfg.record_bytes, cfg.block_records);
     cluster.run([&](comm::NodeId me) {
       pdm::Disk& disk = ws.disk(me);
       pdm::File p2 = disk.open("csort_p2");
@@ -385,7 +395,7 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
       PipelineConfig pc;
       pc.name = "pass3";
       pc.num_buffers = cfg.num_buffers;
-      pc.buffer_bytes = std::max<std::size_t>(g.col_bytes(), p3cap);
+      pc.buffer_bytes = p3_bytes;
       pc.aux_buffers = true;
       pc.rounds = g.cpn;
       Pipeline& pl = graph.add_pipeline(pc);
@@ -416,8 +426,8 @@ SortResult run_csort(comm::Cluster& cluster, pdm::Workspace& ws,
         const auto top = col.first(half * g.rec);
         const auto bottom = col.subspan(half * g.rec, half * g.rec);
         // The sort stage's merge left the column as read in the auxiliary
-        // block, which is free now and holds M_j (at most 3r/2 records;
-        // the block holds at least 2r).
+        // block, which is free now and holds M_j (at most 3r/2 records,
+        // as csort_pass3_buffer_bytes sizes it).
         const std::span<std::byte> merged = b.aux();
 
         // Step 6 (shift down by r/2): my column's bottom half becomes the

@@ -67,6 +67,14 @@ CsortGeometry csort_geometry(const SortConfig& cfg);
 std::uint64_t csort_compatible_records(std::uint64_t target, int nodes,
                                        std::uint64_t r_multiple_of = 1);
 
+/// Bytes of each pass-3 pool buffer, and of its auxiliary block, for a
+/// P-node run of `geom` striped in blocks of `block_records`: the larger
+/// of a merged run M_j (at most 3r/2 records) and the most one node can
+/// receive in one round of the final redistribution.
+std::size_t csort_pass3_buffer_bytes(const CsortGeometry& geom, int nodes,
+                                     std::uint32_t record_bytes,
+                                     std::uint64_t block_records);
+
 /// Run csort on the cluster over the workspace's striped input file,
 /// producing the striped output file.  Returns per-pass wall times
 /// (sampling time is zero: csort needs no preprocessing).

@@ -92,7 +92,7 @@ VerifyResult verify_output(pdm::Workspace& ws, const SortConfig& cfg) {
   VerifyResult r;
   r.sorted = true;
   std::uint64_t sum = 0;
-  std::uint64_t prev_key = 0;
+  ExtKey prev{};
   bool have_prev = false;
   std::vector<std::byte> block(layout.block_bytes());
 
@@ -110,9 +110,9 @@ VerifyResult verify_output(pdm::Workspace& ws, const SortConfig& cfg) {
     if (got != n * rec) return VerifyResult{};  // short output
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::byte* p = block.data() + i * rec;
-      const std::uint64_t k = key_of(p);
-      if (have_prev && k < prev_key) r.sorted = false;
-      prev_key = k;
+      const ExtKey k = ext_key_of(p);
+      if (have_prev && k < prev) r.sorted = false;
+      prev = k;
       have_prev = true;
       sum += record_fingerprint({p, rec});
       ++r.records;

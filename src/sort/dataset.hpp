@@ -6,10 +6,10 @@
 // dataset fingerprint can be recomputed without re-reading anything.
 //
 // Verification reads the striped output in PDM order and checks three
-// properties: the key sequence is globally non-decreasing, the record
-// count matches, and the sum of per-record fingerprints matches the
-// input's (i.e. the output is a permutation of the input, payloads
-// intact).
+// properties: the extended keys (key, then mix64 of the uid) are
+// globally non-decreasing, the record count matches, and the sum of
+// per-record fingerprints matches the input's (i.e. the output is a
+// permutation of the input, payloads intact).
 #pragma once
 
 #include "pdm/striping.hpp"
@@ -40,6 +40,8 @@ void generate_node_input(pdm::Workspace& ws, const SortConfig& cfg, int node);
 std::uint64_t expected_fingerprint(const SortConfig& cfg);
 
 struct VerifyResult {
+  /// Records are in extended-key order (key, then mix64 of the uid), the
+  /// order every program writes, so equal keys must keep their tie order.
   bool sorted{false};
   bool permutation{false};
   std::uint64_t records{0};

@@ -30,15 +30,19 @@ void sort_records(std::span<std::byte> data, std::uint32_t rec_bytes,
 
 /// Stable-partition records into `splitters.size() + 1` groups by
 /// extended key: group i gets records with splitter[i-1] < ext <=
-/// splitter[i] (in the usual upper-bound sense).  Writes the permuted
-/// records to `out` (same size as data) and returns the record count per
-/// group.
+/// splitter[i] (in the usual upper-bound sense), so a record lands in
+/// group partition_of(its extended key).  `splitters` must be sorted.
+/// The search runs without branches over the splitters' 64-bit keys and
+/// reads a record's tie word only when its key equals a splitter's.
+/// Writes the permuted records to `out` (same size as data) and returns
+/// the record count per group.
 std::vector<std::uint32_t> partition_records(
     std::span<const std::byte> data, std::uint32_t rec_bytes,
     std::span<const ExtKey> splitters, std::span<std::byte> out);
 
 /// Partition index (0..splitters.size()) a record with extended key `k`
-/// belongs to: the number of splitters strictly less than `k`.
+/// belongs to: the number of splitters strictly less than `k`.  A plain
+/// binary search, and the reference partition_records is tested against.
 std::size_t partition_of(const ExtKey& k, std::span<const ExtKey> splitters);
 
 /// Streaming k-way merge of sorted runs: a loser tree ordered by extended
@@ -51,6 +55,10 @@ std::size_t partition_of(const ExtKey& k, std::span<const ExtKey> splitters);
 /// into `out` until `out` is full or the block the last record came from
 /// is used up; that run is then `dry()`.  A new merger reports runs 0, 1,
 /// ..., k-1 dry in turn, so the first k feeds are each run's first block.
+///
+/// Each time a run's record is taken, the merger prefetches that run's
+/// block a fixed two cache lines ahead: at high fan-in a run comes round
+/// only every k records, too rarely for the hardware prefetcher.
 class MultiwayMerger {
  public:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);

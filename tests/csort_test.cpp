@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <vector>
 
 namespace fg::sort {
 namespace {
@@ -190,12 +191,12 @@ TEST(Csort, SingleColumnPerNode) {
   EXPECT_TRUE(sort_and_verify(cfg).ok());
 }
 
-TEST(Csort, PoolsFitInOneAndAHalfInputs) {
+TEST(Csort, PoolsFitInOneInput) {
   // Each pass streams a node's columns through a pool of default depth,
   // so the pools follow the column, not the stripe: four nodes sorting
-  // 16 MiB need about 18 MiB of pool buffers in their largest pass
-  // (pass 3).  The budget throws util::QuotaExceeded if a pass's pools
-  // would overdraw it.
+  // 16 MiB (r = 16,384) need about 12.6 MB of pool buffers in their
+  // largest pass, pass 3, whose buffers hold 3r/2 records.  The budget
+  // throws util::QuotaExceeded if a pass's pools would overdraw it.
   SortConfig cfg;
   cfg.nodes = 4;
   cfg.records = 1 << 20;
@@ -203,11 +204,74 @@ TEST(Csort, PoolsFitInOneAndAHalfInputs) {
   ASSERT_EQ(csort_compatible_records(cfg.records, cfg.nodes,
                                      cfg.block_records),
             cfg.records);
-  util::ByteBudget budget("csort pools",
-                          cfg.records * cfg.record_bytes * 3 / 2);
+  util::ByteBudget budget("csort pools", cfg.records * cfg.record_bytes);
   cfg.runtime.pool_budget = &budget;
   EXPECT_TRUE(sort_and_verify(cfg).ok());
   EXPECT_EQ(budget.used(), 0u);  // every pass released its pools
+}
+
+/// Bytes each node receives in pass 3's round `t`, replaying the
+/// communicate stage's routing: column j's merged run M_j covers global
+/// records [j*r - r/2, j*r + r/2) (from 0 in the first column, to s*r in
+/// the last) and goes out as within-block chunks of [u64 gstart][u32
+/// count][records], after a P x u64 size header.
+std::vector<std::uint64_t> pass3_received(const CsortGeometry& geom, int p,
+                                          std::uint32_t rec,
+                                          std::uint32_t block,
+                                          std::uint64_t t) {
+  const pdm::StripeLayout layout(p, rec, block);
+  const std::uint64_t half = geom.r / 2;
+  std::vector<std::uint64_t> got(static_cast<std::size_t>(p),
+                                 static_cast<std::uint64_t>(p) * 8);
+  for (int me = 0; me < p; ++me) {
+    const std::uint64_t j = t * static_cast<std::uint64_t>(p) +
+                            static_cast<std::uint64_t>(me);
+    const std::uint64_t lo = j == 0 ? 0 : j * geom.r - half;
+    const std::uint64_t hi =
+        j == geom.s - 1 ? geom.s * geom.r : j * geom.r + half;
+    for (std::uint64_t g = lo; g < hi;) {
+      const std::uint64_t c = std::min(layout.run_within_block(g), hi - g);
+      got[static_cast<std::size_t>(layout.node_of(g))] += 12 + c * rec;
+      g += c;
+    }
+  }
+  return got;
+}
+
+TEST(Csort, Pass3BufferHoldsEveryRound) {
+  // Every round of every node, for every striping block that divides r
+  // (run_csort's requirement), whether or not it divides r/P.
+  struct Case {
+    int p;
+    std::uint64_t r, s;
+  };
+  for (const Case c : {Case{1, 8, 2}, Case{2, 64, 4}, Case{3, 60, 6},
+                       Case{4, 104, 8}, Case{4, 16384, 64},
+                       Case{16, 464, 16}}) {
+    const CsortGeometry geom{c.r, c.s};
+    ASSERT_NO_THROW(geom.validate(c.p));
+    for (std::uint64_t block = 1; block <= c.r; ++block) {
+      if (c.r % block != 0) continue;
+      for (const std::uint32_t rec : {16u, 64u}) {
+        const std::size_t cap =
+            csort_pass3_buffer_bytes(geom, c.p, rec, block);
+        EXPECT_GE(cap, (c.r + c.r / 2) * rec);  // M_j of the last column
+        std::uint64_t worst = 0;
+        for (std::uint64_t t = 0; t < c.s / static_cast<std::uint64_t>(c.p);
+             ++t) {
+          for (const std::uint64_t got : pass3_received(
+                   geom, c.p, rec, static_cast<std::uint32_t>(block), t)) {
+            worst = std::max(worst, got);
+          }
+        }
+        EXPECT_LE(worst, cap) << "P=" << c.p << " r=" << c.r
+                              << " block=" << block << " rec=" << rec;
+      }
+    }
+  }
+  // The 16 MiB four-node run above: M_j, not the receive, sets the size.
+  EXPECT_EQ(csort_pass3_buffer_bytes({16384, 64}, 4, 16, 1024),
+            16384u * 3 / 2 * 16);
 }
 
 TEST(Csort, ManyRoundsPerNode) {

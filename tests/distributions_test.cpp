@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -218,26 +219,64 @@ TEST(Dataset, VerifyDetectsUnsortedOutput) {
   EXPECT_TRUE(v.permutation);
 }
 
-TEST(Dataset, VerifyDetectsCorruption) {
+/// All-equal records (64 bytes, so with payload), generated in input
+/// order and then put in extended-key order: the order every program
+/// writes.
+std::vector<std::vector<std::byte>> all_equal_in_ext_key_order(
+    const SortConfig& cfg) {
+  std::vector<std::vector<std::byte>> recs;
+  for (std::uint64_t g = 0; g < cfg.records; ++g) {
+    recs.emplace_back(cfg.record_bytes);
+    make_record(cfg.dist, cfg.seed, g, cfg.records, recs.back());
+  }
+  std::sort(recs.begin(), recs.end(), [](const auto& a, const auto& b) {
+    return ext_key_of(a.data()) < ext_key_of(b.data());
+  });
+  return recs;
+}
+
+void write_output(pdm::Workspace& ws, const SortConfig& cfg,
+                  const std::vector<std::vector<std::byte>>& recs) {
+  pdm::File f = ws.disk(0).create(cfg.output_name);
+  for (std::uint64_t i = 0; i < recs.size(); ++i) {
+    ws.disk(0).write(f, i * cfg.record_bytes, recs[i]);
+  }
+}
+
+SortConfig all_equal_config() {
   SortConfig cfg;
   cfg.nodes = 1;
   cfg.records = 50;
   cfg.block_records = 10;
   cfg.record_bytes = 64;
-  cfg.dist = Distribution::kAllEqual;  // input order is already sorted
+  cfg.dist = Distribution::kAllEqual;
+  return cfg;
+}
+
+TEST(Dataset, VerifyDetectsCorruption) {
+  const SortConfig cfg = all_equal_config();
   pdm::Workspace ws(1);
-  {
-    pdm::File f = ws.disk(0).create(cfg.output_name);
-    std::vector<std::byte> rec(cfg.record_bytes);
-    for (std::uint64_t g = 0; g < cfg.records; ++g) {
-      make_record(cfg.dist, cfg.seed, g, cfg.records, rec);
-      if (g == 30) rec[20] ^= std::byte{1};  // corrupt one payload byte
-      ws.disk(0).write(f, g * cfg.record_bytes, rec);
-    }
-  }
+  auto recs = all_equal_in_ext_key_order(cfg);
+  recs[30][20] ^= std::byte{1};  // corrupt one payload byte
+  write_output(ws, cfg, recs);
   const VerifyResult v = verify_output(ws, cfg);
   EXPECT_TRUE(v.sorted);
   EXPECT_FALSE(v.permutation);
+}
+
+TEST(Dataset, VerifyChecksTieOrderOfEqualKeys) {
+  // Every key is equal, so only the tie order (mix64 of the uid) can be
+  // wrong: swap two neighbours and the output is no longer sorted.
+  const SortConfig cfg = all_equal_config();
+  pdm::Workspace ws(1);
+  auto recs = all_equal_in_ext_key_order(cfg);
+  write_output(ws, cfg, recs);
+  EXPECT_TRUE(verify_output(ws, cfg).ok());
+  std::swap(recs[20], recs[21]);
+  write_output(ws, cfg, recs);
+  const VerifyResult v = verify_output(ws, cfg);
+  EXPECT_FALSE(v.sorted);
+  EXPECT_TRUE(v.permutation);
 }
 
 }  // namespace

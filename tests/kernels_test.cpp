@@ -10,6 +10,7 @@
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace fg::sort {
@@ -354,6 +355,60 @@ TEST(Kernels, PartitionWithNoSplittersIsIdentity) {
   ASSERT_EQ(counts.size(), 1u);
   EXPECT_EQ(counts[0], 3u);
   EXPECT_EQ(out, data);
+}
+
+/// A stable partition by partition_of: what partition_records must
+/// produce byte for byte, with its counts.
+std::pair<std::vector<std::byte>, std::vector<std::uint32_t>>
+partition_reference(std::span<const std::byte> data, std::uint32_t rec,
+                    std::span<const ExtKey> splitters) {
+  const std::size_t n = data.size() / rec;
+  std::vector<std::byte> out;
+  std::vector<std::uint32_t> counts(splitters.size() + 1, 0);
+  for (std::size_t g = 0; g <= splitters.size(); ++g) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::byte* p = data.data() + i * rec;
+      if (partition_of(ext_key_of(p), splitters) != g) continue;
+      out.insert(out.end(), p, p + rec);
+      ++counts[g];
+    }
+  }
+  return {out, counts};
+}
+
+TEST_P(KernelsParam, PartitionMatchesStablePartitionReference) {
+  const std::uint32_t rec = GetParam();
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::size_t count : {0u, 1u, 3u, 15u, 63u, 1023u}) {
+    for (const KeyMix mix : {KeyMix::kUniform, KeyMix::kAllEqual,
+                             KeyMix::kSmallRange, KeyMix::kMaxHeavy}) {
+      const int m = static_cast<int>(mix);
+      util::Xoshiro256 rng(10 * count + m);
+      std::vector<std::uint64_t> keys(2000);
+      for (auto& k : keys) k = draw_key(mix, rng);
+      const auto data = make_records(keys, rec);
+      // Splitters are the records' own extended keys, drawn with
+      // replacement: records tie with them and equal splitter keys form
+      // runs.  The UINT64_MAX-heavy mix also gets a UINT64_MAX splitter,
+      // the key the search pads the splitters with.
+      std::vector<ExtKey> splitters(count);
+      for (auto& sp : splitters) {
+        sp = ext_key_of(data.data() + rng.below(keys.size()) * rec);
+      }
+      if (mix == KeyMix::kMaxHeavy && count > 0) {
+        const auto at = std::find(keys.begin(), keys.end(), kMax);
+        ASSERT_NE(at, keys.end());
+        splitters[0] = ext_key_of(data.data() + (at - keys.begin()) * rec);
+      }
+      std::sort(splitters.begin(), splitters.end());
+      const auto [expected, expected_counts] =
+          partition_reference(data, rec, splitters);
+      std::vector<std::byte> out(data.size());
+      EXPECT_EQ(partition_records(data, rec, splitters, out), expected_counts)
+          << "splitters=" << count << " mix=" << m;
+      EXPECT_EQ(out, expected) << "splitters=" << count << " mix=" << m;
+    }
+  }
 }
 
 TEST(Kernels, MergeInterleavesSortedRuns) {

@@ -240,7 +240,21 @@ grep -q '"disk":"native"' "$nd_dir/stats.json"
   --label fabric=sim --label latency=none \
   "$nd_dir/trace.json.dsort" > "$bench_dir/native.json"
 grep -q '"disk":"native"' "$bench_dir/native.json"
-echo "==> native disk backend ok"
+# Again with 64-byte records and all-equal keys: the kernels' 64-byte
+# paths, and the path where only the tie word orders records, which
+# fgsort's own verification checks.
+for disk in stdio native; do
+  "$root/build-ci-release/tools/fgsort" --program all --nodes 4 \
+    --records 65536 --record-bytes 64 --dist equal --latency none \
+    --seed 23 --disk "$disk" --keep "$nd_dir/equal64-$disk" > /dev/null
+done
+for prog in dsort csort ssort; do
+  for n in 0 1 2 3; do
+    cmp "$nd_dir/equal64-stdio/$prog/node$n/output" \
+      "$nd_dir/equal64-native/$prog/node$n/output"
+  done
+done
+echo "==> native disk backend ok (16 B uniform and 64 B all-equal)"
 rm -rf "$nd_dir"
 
 # Assemble BENCH_sort.json from every labeled section produced above: a
